@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include "campaign/batch_kernel.hh"
+#include "campaign/checkpoint.hh"
 #include "campaign/json.hh"
 #include "obs/obs.hh"
 #include "outage/trace.hh"
@@ -20,66 +22,149 @@ namespace
 constexpr Time kYear = 365LL * 24 * kHour;
 
 /**
- * The CI stop rule on the current in-order aggregation state. Shared
- * between aggregateTrial and resumeAnnualCampaign's boundary
- * re-evaluation so the two can never diverge.
+ * Where trial results come from — the only difference between the
+ * scalar and batched paths. Trial t's result is a pure function of
+ * (seed, t) either way, so every aggregate is identical for any batch
+ * size and thread count.
  */
-bool
-earlyStopSatisfied(const AnnualCampaignSummary &out,
-                   const AnnualCampaignOptions &opts)
+struct TrialSource
 {
-    const double hw = out.downtimeMin.meanCiHalfWidth(opts.ciZ);
-    const double tol =
-        std::max(opts.ciAbsTolMin,
-                 opts.ciRelTol * std::abs(out.downtimeMin.summary().mean()));
-    return hw <= tol;
+    /** Per-trial body (scalar path, when kernel is empty). */
+    AnnualTrialFn trial;
+    /** Lane-batch kernel (batched path). */
+    std::optional<BatchAnnualKernel> kernel;
+    /** Trials per chunk: the kernel's batch, or 1 on the scalar path. */
+    std::uint64_t batch = 1;
+};
+
+/** The standard scenario: Figure 1 years through the scalar simulator,
+ *  or through the batched kernel when @p batch is nonzero. */
+TrialSource
+scenarioSource(const AnnualCampaignSpec &spec, std::uint64_t batch)
+{
+    TrialSource src;
+    if (batch != 0) {
+        src.kernel.emplace(spec.profile, spec.nServers, spec.technique,
+                           spec.config);
+        src.batch = batch;
+        return src;
+    }
+    src.trial = [spec, gen = OutageTraceGenerator::figure1(),
+                 sim = AnnualSimulator()](std::uint64_t, Rng &rng) {
+        return sim.runYear(spec.profile, spec.nServers, spec.technique,
+                           spec.config, gen.generate(rng, kYear));
+    };
+    return src;
 }
 
 /**
- * Aggregate one trial into the summary, in trial order; returns false
- * when the early-stop rule fires. Shared verbatim between the scalar
- * and batched drivers so their aggregates cannot diverge.
+ * The one in-order driver: simulate global trials [lo, hi) from
+ * @p src across the pool, in chunks of src.batch trials, and fold them
+ * into @p agg strictly in trial-id order. @p after(id) runs once trial
+ * id is folded in and returns false to stop; trials other workers
+ * finished beyond that point are discarded. Returns true when @p after
+ * stopped the run.
  */
 bool
-aggregateTrial(AnnualCampaignSummary &out,
-               const AnnualCampaignOptions &opts, bool early_stop,
-               const AnnualResult &r)
+runTrials(TrialAggregate &agg, const TrialSource &src, std::uint64_t seed,
+          std::uint64_t lo, std::uint64_t hi, int threads,
+          const std::function<bool(std::uint64_t)> &after)
 {
-    out.downtimeMin.add(r.downtimeMin);
-    out.lossesPerYear.add(static_cast<double>(r.losses));
-    out.meanPerf.add(r.meanPerf);
-    out.batteryKwh.add(r.batteryKwh);
-    out.worstGapMin.add(r.worstGapMin);
-    // Per-trial distribution metrics (consume runs in trial
-    // order, so the bucket counts are thread-count invariant).
-    BPSIM_OBS_HISTOGRAM_RECORD("campaign.trial_downtime_min",
-                               r.downtimeMin);
-    BPSIM_OBS_HISTOGRAM_RECORD("campaign.trial_worst_gap_min",
-                               r.worstGapMin);
-    if (r.losses == 0)
-        ++out.lossFreeTrials;
-    ++out.trials;
-    if (early_stop && out.trials >= opts.minTrials &&
-        earlyStopSatisfied(out, opts))
-        return false;
-    return true;
+    const std::uint64_t batch = src.batch;
+    bool stopped = false;
+    const std::function<std::vector<AnnualResult>(std::uint64_t)> body =
+        [&](std::uint64_t chunk) {
+            const std::uint64_t first = lo + chunk * batch;
+            const std::uint64_t last = std::min(first + batch, hi);
+            std::vector<AnnualResult> results(
+                static_cast<std::size_t>(last - first));
+            if (src.kernel) {
+                src.kernel->runBatch(seed, first, last, results.data());
+                return results;
+            }
+            for (std::uint64_t id = first; id < last; ++id) {
+                // Tag every trace event with the GLOBAL trial id:
+                // (trial, seq) is the thread-count-invariant trace
+                // sort key.
+                const obs::TrialScope trace_scope(id);
+                Rng rng = Rng::stream(seed, id);
+                results[id - first] = src.trial(id, rng);
+            }
+            return results;
+        };
+    const std::function<bool(std::uint64_t, std::vector<AnnualResult> &&)>
+        consume = [&](std::uint64_t chunk,
+                      std::vector<AnnualResult> &&results) {
+            for (std::size_t i = 0; i < results.size(); ++i) {
+                agg.add(results[i]);
+                if (!after(lo + chunk * batch + i)) {
+                    stopped = true;
+                    return false;
+                }
+            }
+            return true;
+        };
+    CampaignOptions copts;
+    copts.threads = threads;
+    runCampaign<std::vector<AnnualResult>>((hi - lo + batch - 1) / batch,
+                                           body, consume, copts);
+    return stopped;
 }
 
 /**
- * Wall-clock + loss-free tail shared by every campaign driver.
- * @p executed is the number of trials this *run* simulated — equal to
- * out.trials for the fresh drivers, but only the extension width for
- * resumeAnnualCampaign, so the obs "campaign.trials" counter stays
- * additive: a checkpointed run plus its extension reports exactly what
- * one fresh run of the full budget would.
+ * Run a campaign from @p agg, which already holds its first agg.trials
+ * trials, through trial opts.maxTrials - 1 under the early-stop rule
+ * and progress cadence, then finalize. A fresh campaign is this from
+ * the empty aggregate.
+ *
+ * Before running anything the rule is re-evaluated on a non-empty
+ * starting state: a run whose budget was exactly its stopping point
+ * records stoppedEarly == false (the stop is masked at the budget
+ * boundary), but a longer fresh run stops right there.
  */
-void
-finalizeCampaign(AnnualCampaignSummary &out,
-                 const AnnualCampaignOptions &opts,
-                 std::chrono::steady_clock::time_point t0,
-                 std::uint64_t executed)
+AnnualCampaignSummary
+continueCampaign(const TrialSource &src, const AnnualCampaignOptions &opts,
+                 TrialAggregate agg)
 {
+    BPSIM_ASSERT(opts.maxTrials >= 1, "campaign needs at least one trial");
+    BPSIM_ASSERT(agg.trials <= opts.maxTrials,
+                 "resume boundary %llu beyond the %llu-trial budget",
+                 static_cast<unsigned long long>(agg.trials),
+                 static_cast<unsigned long long>(opts.maxTrials));
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto run_timer = obs::scope("campaign.run");
+    const EarlyStopRule rule = opts.stopRule();
+    const auto stops = [&] {
+        return rule
+            .evaluate(agg.trials, agg.downtimeMin.sum(),
+                      agg.downtimeMin.sumSq())
+            .fired;
+    };
+    const std::uint64_t start = agg.trials;
+    bool stopped = start > 0 && stops();
+    if (!stopped) {
+        stopped = runTrials(
+            agg, src, opts.seed, start, opts.maxTrials, opts.threads,
+            [&](std::uint64_t id) {
+                const bool more = !stops();
+                if (opts.progress && opts.progressEvery != 0 &&
+                    (id + 1 == opts.maxTrials || !more ||
+                     (id + 1) % opts.progressEvery == 0))
+                    opts.progress({id + 1, opts.maxTrials, !more});
+                return more;
+            });
+    }
+
+    AnnualCampaignSummary out;
+    static_cast<TrialAggregate &>(out) = std::move(agg);
+    out.planned = opts.maxTrials;
+    out.seed = opts.seed;
+    out.stoppedEarly = stopped && out.trials < opts.maxTrials;
     out.lossFree = wilsonInterval(out.lossFreeTrials, out.trials, opts.ciZ);
+    // Only this run's trials count toward throughput and the obs
+    // "campaign.trials" counter, so a checkpointed run plus its
+    // extension reports exactly what one fresh run would.
+    const std::uint64_t executed = out.trials - start;
     const std::chrono::duration<double> wall =
         std::chrono::steady_clock::now() - t0;
     out.wallSeconds = wall.count();
@@ -93,263 +178,189 @@ finalizeCampaign(AnnualCampaignSummary &out,
             .gauge("campaign.trials_per_sec")
             .set(out.trialsPerSec);
     }
-}
-
-/**
- * Batched scenario driver: fans lane batches (not single trials)
- * across the pool, then unpacks each chunk through the same in-order
- * per-trial aggregation — including the early-stop rule and the
- * progress cadence evaluated on *global* trial ids — so the summary
- * is bit-identical to the scalar driver for any (batch, threads).
- */
-AnnualCampaignSummary
-runBatchedCampaign(const AnnualCampaignSpec &spec,
-                   const AnnualCampaignOptions &opts)
-{
-    BPSIM_ASSERT(opts.maxTrials >= 1, "campaign needs at least one trial");
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto run_timer = obs::scope("campaign.run");
-
-    AnnualCampaignSummary out;
-    out.planned = opts.maxTrials;
-    out.seed = opts.seed;
-    const bool early_stop = opts.ciRelTol > 0.0 || opts.ciAbsTolMin > 0.0;
-
-    const BatchAnnualKernel kernel(spec.profile, spec.nServers,
-                                   spec.technique, spec.config);
-    const std::uint64_t batch = opts.batch;
-    const std::uint64_t chunks = (opts.maxTrials + batch - 1) / batch;
-    bool stopped = false;
-
-    const std::function<std::vector<AnnualResult>(std::uint64_t)> body =
-        [&](std::uint64_t chunk) {
-            const std::uint64_t lo = chunk * batch;
-            const std::uint64_t hi =
-                std::min(lo + batch, opts.maxTrials);
-            std::vector<AnnualResult> results(
-                static_cast<std::size_t>(hi - lo));
-            kernel.runBatch(opts.seed, lo, hi, results.data());
-            return results;
-        };
-    const std::function<bool(std::uint64_t, std::vector<AnnualResult> &&)>
-        consume = [&](std::uint64_t chunk,
-                      std::vector<AnnualResult> &&results) {
-            const std::uint64_t lo = chunk * batch;
-            for (std::size_t i = 0; i < results.size(); ++i) {
-                const std::uint64_t id = lo + i;
-                const bool more =
-                    aggregateTrial(out, opts, early_stop, results[i]);
-                if (opts.progress && opts.progressEvery != 0 &&
-                    (id + 1 == opts.maxTrials || !more ||
-                     (id + 1) % opts.progressEvery == 0)) {
-                    opts.progress({id + 1, opts.maxTrials, !more});
-                }
-                if (!more) {
-                    stopped = true;
-                    return false;
-                }
-            }
-            return true;
-        };
-
-    CampaignOptions copts;
-    copts.threads = opts.threads;
-    runCampaign<std::vector<AnnualResult>>(chunks, body, consume, copts);
-    // The chunk-level outcome can't see a stop on the last trial of
-    // the last chunk; recover the scalar semantics from trial counts.
-    out.stoppedEarly = stopped && out.trials < opts.maxTrials;
-    finalizeCampaign(out, opts, t0, out.trials);
     return out;
 }
 
+/**
+ * Run @p run and add the obs activity it recorded to @p out: counter
+ * and histogram deltas by snapshot subtraction, and the incident
+ * rollup of the trace events it emitted. The trace is bookmarked, not
+ * drained, so the caller's own drain()-based export still sees the
+ * events. Must not overlap other obs-recording work (the what-if
+ * server serializes campaigns for this reason).
+ */
+template <typename Fn>
+void
+withObsDeltas(ShardResult &out, Fn &&run)
+{
+    auto &registry = obs::Registry::global();
+    const auto counters_before = registry.counterSnapshot();
+    const auto histograms_before = registry.histogramSnapshot();
+    const auto trace_mark = obs::TraceSink::instance().mark();
+    run();
+    obs::mergeCounters(out.counters,
+                       obs::subtractCounters(registry.counterSnapshot(),
+                                             counters_before));
+    obs::mergeHistograms(
+        out.histograms,
+        obs::subtractHistograms(registry.histogramSnapshot(),
+                                histograms_before));
+    if (obs::enabled())
+        out.incidents.merge(
+            obs::buildIncidentReport(
+                obs::TraceSink::instance().eventsSince(trace_mark))
+                .aggregate);
+}
+
 } // namespace
+
+EarlyStopDecision
+EarlyStopRule::evaluate(std::uint64_t n, const ExactSum &sum,
+                        const ExactSum &sum_sq) const
+{
+    EarlyStopDecision d;
+    if (!enabled() || n < minTrials || n == 0)
+        return d;
+    const double s = sum.value();
+    d.stopTrial = n;
+    d.mean = s / static_cast<double>(n);
+    d.halfWidth = meanCiHalfWidth(n, s, sum_sq.value(), ciZ);
+    d.fired =
+        d.halfWidth <= std::max(ciAbsTolMin, ciRelTol * std::abs(d.mean));
+    return d;
+}
+
+void
+TrialAggregate::add(const AnnualResult &r)
+{
+    downtimeMin.add(r.downtimeMin);
+    lossesPerYear.add(static_cast<double>(r.losses));
+    meanPerf.add(r.meanPerf);
+    batteryKwh.add(r.batteryKwh);
+    worstGapMin.add(r.worstGapMin);
+    // Per-trial distribution metrics (trials are folded in trial
+    // order, so the bucket counts are thread-count invariant).
+    BPSIM_OBS_HISTOGRAM_RECORD("campaign.trial_downtime_min",
+                               r.downtimeMin);
+    BPSIM_OBS_HISTOGRAM_RECORD("campaign.trial_worst_gap_min",
+                               r.worstGapMin);
+    if (r.losses == 0)
+        ++lossFreeTrials;
+    ++trials;
+}
+
+void
+TrialAggregate::merge(const TrialAggregate &other)
+{
+    trials += other.trials;
+    for (const auto &[name, metric] : kTrialMetrics)
+        (this->*metric).merge(other.*metric);
+    lossFreeTrials += other.lossFreeTrials;
+}
 
 AnnualCampaignSummary
 runAnnualCampaign(const AnnualTrialFn &trial,
                   const AnnualCampaignOptions &opts)
 {
-    BPSIM_ASSERT(opts.maxTrials >= 1, "campaign needs at least one trial");
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto run_timer = obs::scope("campaign.run");
-
-    AnnualCampaignSummary out;
-    out.planned = opts.maxTrials;
-    out.seed = opts.seed;
-    const bool early_stop = opts.ciRelTol > 0.0 || opts.ciAbsTolMin > 0.0;
-
-    const std::function<AnnualResult(std::uint64_t)> body =
-        [&](std::uint64_t id) {
-            const obs::TrialScope trace_scope(id);
-            Rng rng = Rng::stream(opts.seed, id);
-            return trial(id, rng);
-        };
-    const std::function<bool(std::uint64_t, AnnualResult &&)> consume =
-        [&](std::uint64_t, AnnualResult &&r) {
-            return aggregateTrial(out, opts, early_stop, r);
-        };
-
-    CampaignOptions copts;
-    copts.threads = opts.threads;
-    copts.progressEvery = opts.progressEvery;
-    copts.progress = opts.progress;
-    const CampaignOutcome oc =
-        runCampaign<AnnualResult>(opts.maxTrials, body, consume, copts);
-    out.stoppedEarly = oc.stoppedEarly;
-    finalizeCampaign(out, opts, t0, out.trials);
-    return out;
+    TrialSource src;
+    src.trial = trial;
+    return continueCampaign(src, opts, {});
 }
 
 AnnualCampaignSummary
 runAnnualCampaign(const AnnualCampaignSpec &spec,
                   const AnnualCampaignOptions &opts)
 {
-    if (opts.batch != 0)
-        return runBatchedCampaign(spec, opts);
-    const auto gen = OutageTraceGenerator::figure1();
-    const AnnualSimulator sim;
-    return runAnnualCampaign(
-        [&](std::uint64_t, Rng &rng) {
-            const auto events = gen.generate(rng, kYear);
-            return sim.runYear(spec.profile, spec.nServers, spec.technique,
-                               spec.config, events);
-        },
-        opts);
+    return continueCampaign(scenarioSource(spec, opts.batch), opts, {});
 }
 
-AnnualCampaignSummary
-resumeAnnualCampaign(const AnnualCampaignSpec &spec,
+ResumableOutcome
+runResumableCampaign(const AnnualCampaignSpec &spec,
                      const AnnualCampaignOptions &opts,
-                     const AnnualCampaignSummary &from)
+                     const CampaignCheckpoint *from)
 {
-    BPSIM_ASSERT(from.trials >= 1, "cannot resume an empty campaign");
-    BPSIM_ASSERT(from.trials <= opts.maxTrials,
-                 "resume boundary %llu beyond the %llu-trial budget",
-                 static_cast<unsigned long long>(from.trials),
-                 static_cast<unsigned long long>(opts.maxTrials));
-    BPSIM_ASSERT(from.seed == opts.seed,
+    BPSIM_ASSERT(!from || from->spec.seed == opts.seed,
                  "resume seed %llu does not match campaign seed %llu",
-                 static_cast<unsigned long long>(from.seed),
+                 static_cast<unsigned long long>(from->spec.seed),
                  static_cast<unsigned long long>(opts.seed));
+    ResumableOutcome out;
+    CampaignCheckpoint &ckpt = out.checkpoint;
+    if (from)
+        ckpt = *from;
+    const std::uint64_t start = ckpt.trials;
+    withObsDeltas(ckpt, [&] {
+        out.summary =
+            continueCampaign(scenarioSource(spec, opts.batch), opts, ckpt);
+    });
+    static_cast<TrialAggregate &>(ckpt) = out.summary;
+    ckpt.spec = shardOf(opts.seed, ckpt.trials, 0, 1);
+    ckpt.build = buildId();
+    ckpt.wallSeconds = 0.0;
+    out.executedTrials = ckpt.trials - start;
+    return out;
+}
+
+ShardResult
+runAnnualShard(const AnnualCampaignSpec &scenario, const ShardSpec &spec,
+               const ShardOptions &opts)
+{
+    BPSIM_ASSERT(spec.hi > spec.lo && spec.hi <= spec.campaignTrials,
+                 "shard range [%llu, %llu) invalid for a %llu-trial "
+                 "campaign",
+                 static_cast<unsigned long long>(spec.lo),
+                 static_cast<unsigned long long>(spec.hi),
+                 static_cast<unsigned long long>(spec.campaignTrials));
     const auto t0 = std::chrono::steady_clock::now();
-    const auto run_timer = obs::scope("campaign.run");
-
-    AnnualCampaignSummary out = from;
-    out.planned = opts.maxTrials;
-    const bool early_stop = opts.ciRelTol > 0.0 || opts.ciAbsTolMin > 0.0;
-    const std::uint64_t start = from.trials;
-
-    // Replay paths: the cached run already stopped early, or the CI
-    // rule holds right at the boundary (a run whose budget equals its
-    // stopping point masks the stop: stoppedEarly stays false, so the
-    // decision must be re-derived from the restored state), or there
-    // is simply nothing left to run. A fresh opts.maxTrials-trial run
-    // would aggregate exactly these trials.
-    const bool stop_at_boundary =
-        from.stoppedEarly ||
-        (early_stop && start >= opts.minTrials &&
-         earlyStopSatisfied(out, opts));
-    if (stop_at_boundary || start == opts.maxTrials) {
-        out.stoppedEarly = stop_at_boundary && out.trials < opts.maxTrials;
-        finalizeCampaign(out, opts, t0, 0);
-        return out;
-    }
-
-    bool stopped = false;
-    const auto progress = [&](std::uint64_t id, bool more) {
-        if (opts.progress && opts.progressEvery != 0 &&
-            (id + 1 == opts.maxTrials || !more ||
-             (id + 1) % opts.progressEvery == 0))
-            opts.progress({id + 1, opts.maxTrials, !more});
-    };
-    CampaignOptions copts;
-    copts.threads = opts.threads;
-
-    if (opts.batch != 0) {
-        // Batched extension. Chunk boundaries start at the resume
-        // point rather than trial 0 — harmless, because every trial's
-        // result is a pure function of (seed, id) regardless of which
-        // lane batch computed it, and aggregation stays in id order.
-        const BatchAnnualKernel kernel(spec.profile, spec.nServers,
-                                       spec.technique, spec.config);
-        const std::uint64_t batch = opts.batch;
-        const std::uint64_t width = opts.maxTrials - start;
-        const std::uint64_t chunks = (width + batch - 1) / batch;
-
-        const std::function<std::vector<AnnualResult>(std::uint64_t)>
-            body = [&](std::uint64_t chunk) {
-                const std::uint64_t lo = start + chunk * batch;
-                const std::uint64_t hi =
-                    std::min(lo + batch, opts.maxTrials);
-                std::vector<AnnualResult> results(
-                    static_cast<std::size_t>(hi - lo));
-                kernel.runBatch(opts.seed, lo, hi, results.data());
-                return results;
-            };
-        const std::function<bool(std::uint64_t,
-                                 std::vector<AnnualResult> &&)>
-            consume = [&](std::uint64_t chunk,
-                          std::vector<AnnualResult> &&results) {
-                const std::uint64_t lo = start + chunk * batch;
-                for (std::size_t i = 0; i < results.size(); ++i) {
-                    const std::uint64_t id = lo + i;
-                    const bool more =
-                        aggregateTrial(out, opts, early_stop, results[i]);
-                    progress(id, more);
-                    if (!more) {
-                        stopped = true;
-                        return false;
-                    }
-                }
-                return true;
-            };
-        runCampaign<std::vector<AnnualResult>>(chunks, body, consume,
-                                               copts);
-    } else {
-        const auto gen = OutageTraceGenerator::figure1();
-        const AnnualSimulator sim;
-        const std::function<AnnualResult(std::uint64_t)> body =
-            [&](std::uint64_t local) {
-                const std::uint64_t id = start + local;
-                const obs::TrialScope trace_scope(id);
-                Rng rng = Rng::stream(opts.seed, id);
-                const auto events = gen.generate(rng, kYear);
-                return sim.runYear(spec.profile, spec.nServers,
-                                   spec.technique, spec.config, events);
-            };
-        const std::function<bool(std::uint64_t, AnnualResult &&)>
-            consume = [&](std::uint64_t local, AnnualResult &&r) {
-                const bool more =
-                    aggregateTrial(out, opts, early_stop, r);
-                progress(start + local, more);
-                if (!more)
-                    stopped = true;
-                return more;
-            };
-        runCampaign<AnnualResult>(opts.maxTrials - start, body, consume,
-                                  copts);
-    }
-    out.stoppedEarly = stopped && out.trials < opts.maxTrials;
-    finalizeCampaign(out, opts, t0, out.trials - start);
+    ShardResult out;
+    out.spec = spec;
+    out.build = buildId();
+    withObsDeltas(out, [&] {
+        // Shards never stop early: the stop rule is the merging
+        // coordinator's call, replayed from these prefix checkpoints.
+        runTrials(out, scenarioSource(scenario, opts.batch), spec.seed,
+                  spec.lo, spec.hi, opts.threads,
+                  [&](std::uint64_t) {
+                      if (opts.checkpointEvery != 0 &&
+                          out.trials % opts.checkpointEvery == 0)
+                          out.checkpoints.push_back(
+                              {out.trials, out.downtimeMin.sum(),
+                               out.downtimeMin.sumSq()});
+                      return true;
+                  });
+    });
+    const std::chrono::duration<double> wall =
+        std::chrono::steady_clock::now() - t0;
+    out.wallSeconds = wall.count();
     return out;
 }
 
 void
 writeMetricJson(JsonWriter &w, const std::string &name,
-                const MetricStats &m)
+                const MergingMetric &m)
 {
     w.key(name).beginObject();
-    w.field("count", static_cast<std::uint64_t>(m.summary().count()));
-    w.field("mean", m.summary().mean());
-    w.field("stddev", m.summary().stddev());
-    w.field("min", m.summary().min());
-    w.field("max", m.summary().max());
+    w.field("count", m.count());
+    w.field("mean", m.mean());
+    w.field("stddev", m.stddev());
+    w.field("min", m.min());
+    w.field("max", m.max());
     w.field("p50", m.p50());
     w.field("p95", m.p95());
     w.field("p99", m.p99());
-    // Digest-based quantiles (mergeable across shards, unlike P²).
-    w.field("td_p50", m.quantile(0.50));
-    w.field("td_p95", m.quantile(0.95));
-    w.field("td_p99", m.quantile(0.99));
+    w.endObject();
+}
+
+void
+writeAggregateJson(JsonWriter &w, const TrialAggregate &a,
+                   const BinomialCi &loss_free)
+{
+    for (const auto &[name, metric] : kTrialMetrics)
+        writeMetricJson(w, name, a.*metric);
+    w.key("loss_free").beginObject();
+    w.field("trials", a.lossFreeTrials);
+    w.field("fraction", loss_free.fraction);
+    w.field("ci_lo", loss_free.lo);
+    w.field("ci_hi", loss_free.hi);
     w.endObject();
 }
 
@@ -368,17 +379,7 @@ writeCampaignJson(std::ostream &os, const AnnualCampaignSummary &s,
         w.field("wall_seconds", s.wallSeconds);
         w.field("trials_per_sec", s.trialsPerSec);
     }
-    writeMetricJson(w, "downtime_min", s.downtimeMin);
-    writeMetricJson(w, "losses_per_year", s.lossesPerYear);
-    writeMetricJson(w, "mean_perf", s.meanPerf);
-    writeMetricJson(w, "battery_kwh", s.batteryKwh);
-    writeMetricJson(w, "worst_gap_min", s.worstGapMin);
-    w.key("loss_free").beginObject();
-    w.field("trials", s.lossFreeTrials);
-    w.field("fraction", s.lossFree.fraction);
-    w.field("ci_lo", s.lossFree.lo);
-    w.field("ci_hi", s.lossFree.hi);
-    w.endObject();
+    writeAggregateJson(w, s, s.lossFree);
     w.endObject();
     os << '\n';
 }
@@ -387,17 +388,12 @@ void
 writeCampaignCsv(std::ostream &os, const AnnualCampaignSummary &s)
 {
     os << "metric,count,mean,stddev,min,max,p50,p95,p99\n";
-    const auto row = [&os](const char *name, const MetricStats &m) {
-        os << name << ',' << m.summary().count() << ','
-           << m.summary().mean() << ',' << m.summary().stddev() << ','
-           << m.summary().min() << ',' << m.summary().max() << ','
+    for (const auto &[name, metric] : kTrialMetrics) {
+        const MergingMetric &m = s.*metric;
+        os << name << ',' << m.count() << ',' << m.mean() << ','
+           << m.stddev() << ',' << m.min() << ',' << m.max() << ','
            << m.p50() << ',' << m.p95() << ',' << m.p99() << '\n';
-    };
-    row("downtime_min", s.downtimeMin);
-    row("losses_per_year", s.lossesPerYear);
-    row("mean_perf", s.meanPerf);
-    row("battery_kwh", s.batteryKwh);
-    row("worst_gap_min", s.worstGapMin);
+    }
     os << "loss_free_fraction," << s.trials << ',' << s.lossFree.fraction
        << ",,," << s.lossFree.lo << ',' << s.lossFree.hi << ",,\n";
 }

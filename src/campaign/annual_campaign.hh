@@ -2,8 +2,8 @@
  * @file
  * Year-scale Monte Carlo campaigns: fan independent simulated years
  * (scenario × per-trial seed) across the work-stealing pool, with
- * online aggregation (Welford moments, P50/P95/P99 sketches, Wilson
- * interval on the loss-free-year fraction), an optional
+ * online aggregation (ExactSum moments and t-digest quantiles per
+ * metric, Wilson interval on the loss-free-year fraction), an optional
  * confidence-interval early-stop rule, progress callbacks, and
  * JSON/CSV export.
  *
@@ -12,6 +12,12 @@
  * id) — and builds its own Simulator/PowerHierarchy/Cluster, so no
  * mutable state crosses threads and the aggregated results are
  * bit-identical for any thread count (see docs/CAMPAIGN.md).
+ *
+ * One in-order driver runs every campaign shape: a fresh campaign, a
+ * resumed one (campaign/checkpoint.hh) and a shard
+ * (campaign/shard.hh) each run a global trial range [lo, hi) on top of
+ * a TrialAggregate, and scalar vs batched execution is only where the
+ * trial results come from.
  */
 
 #ifndef BPSIM_CAMPAIGN_ANNUAL_CAMPAIGN_HH
@@ -19,6 +25,8 @@
 
 #include <functional>
 #include <ostream>
+#include <string>
+#include <utility>
 
 #include "campaign/online_stats.hh"
 #include "campaign/runner.hh"
@@ -36,6 +44,46 @@ struct AnnualCampaignSpec
     BackupConfigSpec config;
 };
 
+/** Where the early-stop rule fires (or would have). */
+struct EarlyStopDecision
+{
+    /** True when the rule held at the evaluated prefix. */
+    bool fired = false;
+    /** Trials in the evaluated prefix (the stop point when fired). */
+    std::uint64_t stopTrial = 0;
+    /** CI half-width and mean at that prefix. */
+    double halfWidth = 0.0;
+    double mean = 0.0;
+};
+
+/**
+ * The campaign early-stop rule on E[downtime min/yr]: after at least
+ * minTrials, stop once the CI half-width is <= max(ciAbsTolMin,
+ * ciRelTol * |mean|). Disabled while both tolerances are 0.
+ */
+struct EarlyStopRule
+{
+    std::uint64_t minTrials = 64;
+    double ciRelTol = 0.0;
+    double ciAbsTolMin = 0.0;
+    double ciZ = 1.96;
+
+    bool
+    enabled() const
+    {
+        return ciRelTol > 0.0 || ciAbsTolMin > 0.0;
+    }
+
+    /**
+     * The rule on the first @p n trials, whose exact downtime sums are
+     * @p sum and @p sum_sq. The live campaign and the shard
+     * coordinator's replay both decide here, so they stop at the same
+     * trial. Unfired (all-zero) when disabled or n < minTrials.
+     */
+    EarlyStopDecision evaluate(std::uint64_t n, const ExactSum &sum,
+                               const ExactSum &sum_sq) const;
+};
+
 /** Campaign sizing, seeding, and early-stop knobs. */
 struct AnnualCampaignOptions
 {
@@ -48,11 +96,9 @@ struct AnnualCampaignOptions
 
     /**
      * @name Early stop
-     * After at least minTrials, stop once the normal-approximation CI
-     * half-width of E[downtime min/yr] is <= max(ciAbsTolMin,
-     * ciRelTol * |mean|). Disabled while both tolerances are 0. The
-     * rule is evaluated on the in-order trial prefix, so the stopping
-     * point is identical for every thread count.
+     * The EarlyStopRule fields (see stopRule()). The rule is evaluated
+     * on the in-order trial prefix, so the stopping point is identical
+     * for every thread count.
      */
     ///@{
     std::uint64_t minTrials = 64;
@@ -73,13 +119,52 @@ struct AnnualCampaignOptions
      * throughput knob. Ignored by the custom-trial-body overload.
      */
     std::uint64_t batch = 0;
+
+    EarlyStopRule
+    stopRule() const
+    {
+        return {minTrials, ciRelTol, ciAbsTolMin, ciZ};
+    }
 };
 
-/** Aggregates of one annual campaign. */
-struct AnnualCampaignSummary
+/**
+ * The mergeable aggregates of an in-order run of trials — the state a
+ * campaign summary, a shard, a checkpoint and a merged campaign share.
+ */
+struct TrialAggregate
 {
-    /** Trials aggregated (== stop index + 1 under early stop). */
+    /** Trials folded in. */
     std::uint64_t trials = 0;
+
+    /** @name Per-metric aggregates (in trial order) */
+    ///@{
+    MergingMetric downtimeMin;
+    MergingMetric lossesPerYear;
+    MergingMetric meanPerf;
+    MergingMetric batteryKwh;
+    MergingMetric worstGapMin;
+    ///@}
+
+    /** Trials with zero abrupt power-loss events. */
+    std::uint64_t lossFreeTrials = 0;
+
+    /** Fold in the next trial (the one per-trial aggregator). */
+    void add(const AnnualResult &r);
+    /** Fold in the aggregates of a following trial range. */
+    void merge(const TrialAggregate &other);
+};
+
+/** The five metrics with their export names, in export order. */
+inline constexpr std::pair<const char *, MergingMetric TrialAggregate::*>
+    kTrialMetrics[] = {{"downtime_min", &TrialAggregate::downtimeMin},
+                       {"losses_per_year", &TrialAggregate::lossesPerYear},
+                       {"mean_perf", &TrialAggregate::meanPerf},
+                       {"battery_kwh", &TrialAggregate::batteryKwh},
+                       {"worst_gap_min", &TrialAggregate::worstGapMin}};
+
+/** Aggregates of one annual campaign. */
+struct AnnualCampaignSummary : TrialAggregate
+{
     /** Trial budget the campaign was launched with. */
     std::uint64_t planned = 0;
     /** Campaign seed (provenance: trial t used Rng::stream(seed, t)). */
@@ -87,17 +172,6 @@ struct AnnualCampaignSummary
     /** True when the CI rule stopped the campaign early. */
     bool stoppedEarly = false;
 
-    /** @name Per-metric streaming statistics (in trial order) */
-    ///@{
-    MetricStats downtimeMin;
-    MetricStats lossesPerYear;
-    MetricStats meanPerf;
-    MetricStats batteryKwh;
-    MetricStats worstGapMin;
-    ///@}
-
-    /** Years with zero abrupt power-loss events. */
-    std::uint64_t lossFreeTrials = 0;
     /** Loss-free fraction with its Wilson interval. */
     BinomialCi lossFree;
 
@@ -128,32 +202,6 @@ AnnualCampaignSummary runAnnualCampaign(const AnnualTrialFn &trial,
 AnnualCampaignSummary runAnnualCampaign(const AnnualCampaignSpec &spec,
                                         const AnnualCampaignOptions &opts);
 
-/**
- * Extend a finished campaign: resume the standard scenario campaign
- * from the exact aggregation state of a previous run and execute only
- * trials [from.trials, opts.maxTrials).
- *
- * Contract: @p from must come from the same (spec, seed, batch-or-not
- * irrelevant) with identical early-stop options and
- * from.trials <= opts.maxTrials. Each trial is a pure function of
- * (seed, trial id) and aggregation is strictly in trial order, so the
- * returned summary — including the early-stop trajectory — is
- * bit-identical to a fresh opts.maxTrials-trial run, for any batch
- * size and thread count on either side of the boundary (see
- * campaign/checkpoint.hh and tests/service/incremental_test.cc).
- *
- * Early-stop boundary semantics: before running anything the CI rule
- * is re-evaluated on the restored state, because a cached run whose
- * budget was exactly its stopping point records stoppedEarly == false
- * (the stop is masked at the budget boundary); a longer fresh run
- * would stop right there. If @p from had already stopped early, or the
- * rule holds at the boundary, no trials run and the summary is the
- * replayed fresh-run outcome (planned rewritten to opts.maxTrials).
- */
-AnnualCampaignSummary resumeAnnualCampaign(const AnnualCampaignSpec &spec,
-                                           const AnnualCampaignOptions &opts,
-                                           const AnnualCampaignSummary &from);
-
 /** Export knobs for writeCampaignJson(). */
 struct CampaignJsonOptions
 {
@@ -174,10 +222,17 @@ void writeCampaignJson(std::ostream &os, const AnnualCampaignSummary &s,
 /** CSV export: one `metric,count,mean,...` row per metric. */
 void writeCampaignCsv(std::ostream &os, const AnnualCampaignSummary &s);
 
-/** Emit one metric as a JSON object member (used by bench exports). */
+/**
+ * Emit one metric as a JSON object member: count, mean, stddev, min,
+ * max, p50, p95, p99. Campaign, merged and bench exports all use it.
+ */
 class JsonWriter;
 void writeMetricJson(JsonWriter &w, const std::string &name,
-                     const MetricStats &m);
+                     const MergingMetric &m);
+
+/** The five per-metric objects and the loss_free object of an export. */
+void writeAggregateJson(JsonWriter &w, const TrialAggregate &a,
+                        const BinomialCi &loss_free);
 
 } // namespace bpsim
 

@@ -144,58 +144,30 @@ ExactSum::writeJson(JsonWriter &w) const
     w.endObject();
 }
 
-bool
-ExactSum::validJson(const JsonValue &v)
+std::optional<ExactSum>
+ExactSum::fromJson(const JsonValue &v)
 {
-    if (v.kind() != JsonValue::Kind::Object)
-        return false;
-    const auto integral = [](const JsonValue *x) {
-        return x && x->kind() == JsonValue::Kind::Number &&
-               x->asDouble() == std::floor(x->asDouble());
-    };
     const JsonValue *sign = v.find("sign");
     const JsonValue *lo = v.find("lo");
     const JsonValue *limbs = v.find("limbs");
-    if (!integral(sign) || sign->asDouble() < -1.0 ||
-        sign->asDouble() > 1.0)
-        return false;
-    if (!integral(lo) || lo->asDouble() < 0.0)
-        return false;
-    if (!limbs || limbs->kind() != JsonValue::Kind::Array)
-        return false;
-    if (lo->asDouble() + static_cast<double>(limbs->size()) >
-        static_cast<double>(kLimbs))
-        return false;
-    for (std::size_t i = 0; i < limbs->size(); ++i) {
-        const JsonValue &d = limbs->item(i);
-        if (!integral(&d) || d.asDouble() < 0.0 ||
-            d.asDouble() >= static_cast<double>(kBase))
-            return false;
-    }
-    return true;
-}
-
-ExactSum
-ExactSum::fromJson(const JsonValue &v)
-{
+    if (!sign || sign->kind() != JsonValue::Kind::Number || !lo ||
+        !lo->isUint() || !limbs || limbs->kind() != JsonValue::Kind::Array)
+        return std::nullopt;
+    // A sum of fewer than 2^62 finite doubles never reaches the top
+    // limb; keeping it empty means merging restored sums can never
+    // carry out of the accumulator (an assert in normalize()).
+    const double s = sign->asDouble();
+    if ((s != -1.0 && s != 0.0 && s != 1.0) ||
+        lo->asDouble() + static_cast<double>(limbs->size()) > kLimbs - 1)
+        return std::nullopt;
     ExactSum out;
-    const auto sign = v.at("sign").asInt();
-    BPSIM_ASSERT(sign >= -1 && sign <= 1, "ExactSum: bad sign %lld",
-                 static_cast<long long>(sign));
-    if (sign == 0)
-        return out;
-    const auto lo = v.at("lo").asInt();
-    const JsonValue &limbs = v.at("limbs");
-    BPSIM_ASSERT(lo >= 0 &&
-                     lo + static_cast<std::int64_t>(limbs.size()) <=
-                         kLimbs,
-                 "ExactSum: limb range out of bounds");
-    for (std::size_t i = 0; i < limbs.size(); ++i) {
-        const auto digit = limbs.item(i).asInt();
-        BPSIM_ASSERT(digit >= 0 && digit < kBase,
-                     "ExactSum: digit %lld outside [0, 2^30)",
-                     static_cast<long long>(digit));
-        out.limb_[lo + static_cast<std::int64_t>(i)] = sign * digit;
+    for (std::size_t i = 0; i < limbs->size(); ++i) {
+        const JsonValue &digit = limbs->item(i);
+        if (!digit.isUint() || digit.asUint() >= kBase)
+            return std::nullopt;
+        out.limb_[lo->asUint() + i] =
+            static_cast<std::int64_t>(s) *
+            static_cast<std::int64_t>(digit.asUint());
     }
     return out;
 }

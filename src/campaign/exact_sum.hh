@@ -18,6 +18,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 
 namespace bpsim
 {
@@ -59,16 +60,12 @@ class ExactSum
      */
     void writeJson(JsonWriter &w) const;
 
-    /** Rebuild from writeJson output (asserts on malformed input). */
-    static ExactSum fromJson(const JsonValue &v);
-
     /**
-     * True when @p v is a well-formed writeJson document that
-     * fromJson would accept without asserting. Checkpoint readers
-     * validate untrusted payloads with this first, so a corrupt file
-     * degrades to a cache miss instead of aborting the server.
+     * Rebuild from writeJson output. Returns nullopt on anything
+     * malformed (bad sign, limb range or digit), so untrusted shard
+     * and checkpoint files degrade to a rejection instead of an abort.
      */
-    static bool validJson(const JsonValue &v);
+    static std::optional<ExactSum> fromJson(const JsonValue &v);
 
   private:
     static constexpr int kLimbBits = 30;

@@ -197,6 +197,13 @@ JsonValue::asString() const
     return str_;
 }
 
+bool
+JsonValue::isUint() const
+{
+    return kind_ == Kind::Number && num_ >= 0.0 &&
+           num_ <= 9007199254740992.0 && num_ == std::floor(num_);
+}
+
 std::size_t
 JsonValue::size() const
 {
@@ -610,6 +617,36 @@ parseJsonFile(const std::string &path, std::string *error)
     std::ostringstream ss;
     ss << is.rdbuf();
     return parseJson(ss.str(), error);
+}
+
+bool
+jsonUint(const JsonValue &obj, const std::string &key, std::uint64_t &out)
+{
+    const JsonValue *v = obj.find(key);
+    if (!v || !v->isUint())
+        return false;
+    out = v->asUint();
+    return true;
+}
+
+bool
+jsonNumber(const JsonValue &obj, const std::string &key, double &out)
+{
+    const JsonValue *v = obj.find(key);
+    if (!v || v->kind() != JsonValue::Kind::Number)
+        return false;
+    out = v->asDouble();
+    return true;
+}
+
+bool
+jsonString(const JsonValue &obj, const std::string &key, std::string &out)
+{
+    const JsonValue *v = obj.find(key);
+    if (!v || v->kind() != JsonValue::Kind::String)
+        return false;
+    out = v->asString();
+    return true;
 }
 
 const char *

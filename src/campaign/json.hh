@@ -102,6 +102,9 @@ class JsonValue
     /** The number as a non-negative integer. */
     std::uint64_t asUint() const;
     const std::string &asString() const;
+    /** True for an integral number in [0, 2^53]: asUint() accepts it
+     *  without asserting, and a double holds it exactly. */
+    bool isUint() const;
     ///@}
 
     /** @name Array access */
@@ -163,6 +166,20 @@ std::optional<JsonValue> parseJson(std::string_view text,
 /** Parse the whole contents of @p path; nullopt on I/O or parse error. */
 std::optional<JsonValue> parseJsonFile(const std::string &path,
                                        std::string *error = nullptr);
+
+/**
+ * @name Defensive member reads
+ * For documents that arrive from disk or another machine: each
+ * returns false, and never asserts, when @p key is absent (or @p obj
+ * is not an object) or holds the wrong kind of value.
+ */
+///@{
+bool jsonUint(const JsonValue &obj, const std::string &key,
+              std::uint64_t &out);
+bool jsonNumber(const JsonValue &obj, const std::string &key, double &out);
+bool jsonString(const JsonValue &obj, const std::string &key,
+                std::string &out);
+///@}
 
 /**
  * Build identifier stamped into exported files: `git describe

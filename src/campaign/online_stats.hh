@@ -1,79 +1,96 @@
 /**
  * @file
  * Online (single-pass, bounded-memory) statistics for Monte Carlo
- * campaigns: the P² streaming quantile sketch, Wilson score intervals
- * for binomial proportions (loss-free-year fraction), and a per-metric
- * aggregate bundling Welford moments with P50/P95/P99 sketches.
+ * campaigns: the one mergeable per-metric aggregate (ExactSum moments
+ * plus a t-digest), the CI half-width every stop rule and export uses,
+ * and Wilson score intervals for binomial proportions (loss-free-year
+ * fraction).
  *
  * Everything here is deterministic in the input *sequence*: feeding
  * the same observations in the same order yields bit-identical state.
  * The campaign runner exploits this by always consuming trial results
  * in trial-id order, so campaign statistics do not depend on the
- * thread count or scheduling (see campaign/runner.hh).
+ * thread count or scheduling (see campaign/runner.hh). Counts, means,
+ * variances and CIs are further bit-identical for ANY partition of the
+ * trials into merged parts, because the sums are exact.
  */
 
 #ifndef BPSIM_CAMPAIGN_ONLINE_STATS_HH
 #define BPSIM_CAMPAIGN_ONLINE_STATS_HH
 
 #include <cstdint>
+#include <optional>
 
+#include "campaign/exact_sum.hh"
 #include "campaign/tdigest.hh"
-#include "sim/stats.hh"
 
 namespace bpsim
 {
 
+/** Digest compression of every campaign metric (≲1% mid-rank error). */
+constexpr double kMetricDigestCompression = 100.0;
+
 /**
- * P² streaming quantile estimator (Jain & Chlamtac, CACM 1985):
- * tracks one quantile of an unbounded stream with five markers and
- * O(1) memory. Exact for the first five observations, a parabolic
- * interpolation thereafter.
+ * Normal-approximation half-width of the CI on the mean of @p n
+ * observations whose exact sums have the values @p sum (Σx) and
+ * @p sum_sq (Σx²): z * sqrt(var / n), var the population variance
+ * (clamped at 0). Zero for fewer than 2 observations. The one formula
+ * behind every campaign, shard and merged CI and both early-stop
+ * evaluations (live and replayed), so they cannot disagree.
  */
-class P2Quantile
+double meanCiHalfWidth(std::uint64_t n, double sum, double sum_sq,
+                       double z = 1.96);
+
+/**
+ * One campaign metric: ExactSum sums (for bit-stable mean/variance
+ * under any partitioning) and a t-digest for count, exact min/max and
+ * quantiles. Campaigns, shards, checkpoints and merged results all
+ * aggregate with this type.
+ */
+class MergingMetric
 {
   public:
-    /** Track the @p probability quantile (0 < probability < 1). */
-    explicit P2Quantile(double probability);
-
-    /** Add one observation. */
+    /** Add one per-trial observation. */
     void add(double x);
 
-    /** Current estimate (exact sample quantile while count() < 5). */
-    double value() const;
+    /**
+     * Fold another metric in (exact except for digest placement).
+     * Merging into an empty metric copies @p other's state verbatim,
+     * so a one-part merge reports exactly what the part did.
+     */
+    void merge(const MergingMetric &other);
 
-    /** Observations seen. */
-    std::uint64_t count() const { return count_; }
+    std::uint64_t count() const { return digest_.count(); }
+    double min() const { return digest_.min(); }
+    double max() const { return digest_.max(); }
+    /** sum/n via ExactSum: bit-identical for any shard partition. */
+    double mean() const;
+    /** Population variance from exact sums (clamped at 0). */
+    double variance() const;
+    double stddev() const;
+    /** meanCiHalfWidth() of this metric. */
+    double meanCiHalfWidth(double z = 1.96) const;
 
-    /** The tracked probability. */
-    double probability() const { return p; }
+    double quantile(double q) const { return digest_.quantile(q); }
+    double p50() const { return quantile(0.50); }
+    double p95() const { return quantile(0.95); }
+    double p99() const { return quantile(0.99); }
+
+    const ExactSum &sum() const { return sum_; }
+    const ExactSum &sumSq() const { return sumSq_; }
+    const TDigest &digest() const { return digest_; }
 
     /**
-     * @name Checkpoint state access
-     * The exact marker state, for campaign checkpoints that resume a
-     * stream bit-identically (campaign/checkpoint.hh). The desired
-     * position increments are a pure function of the probability, so
-     * only the heights, positions and desired positions need to ride
-     * the checkpoint.
+     * Emit the exact state as a JSON object in value position (the
+     * digest unflushed, so a restored metric continues bit-identically).
      */
-    ///@{
-    const double *markerHeights() const { return q; }       // q[5]
-    const double *markerPositions() const { return n_; }    // n_[5]
-    const double *desiredPositions() const { return np; }   // np[5]
-    /** Rebuild a sketch mid-stream from checkpointed marker state. */
-    static P2Quantile restore(double probability,
-                              const double heights[5],
-                              const double positions[5],
-                              const double desired[5],
-                              std::uint64_t count);
-    ///@}
+    void writeJson(JsonWriter &w) const;
+    /** Rebuild from writeJson output; nullopt when malformed. */
+    static std::optional<MergingMetric> fromJson(const JsonValue &v);
 
   private:
-    double p;
-    double q[5];  // marker heights
-    double n_[5]; // marker positions (1-based)
-    double np[5]; // desired marker positions
-    double dn[5]; // desired position increments
-    std::uint64_t count_ = 0;
+    ExactSum sum_, sumSq_;
+    TDigest digest_{kMetricDigestCompression};
 };
 
 /** A binomial proportion with its Wilson score interval. */
@@ -91,63 +108,6 @@ struct BinomialCi
  */
 BinomialCi wilsonInterval(std::uint64_t successes, std::uint64_t trials,
                           double z = 1.96);
-
-/**
- * One campaign metric: streaming moments (Welford), P50/P95/P99 P²
- * sketches, and a t-digest for arbitrary (and mergeable) quantiles.
- * The P² values remain the canonical p50/p95/p99 readouts for
- * backward compatibility; quantile() reads the digest.
- */
-class MetricStats
-{
-  public:
-    /** Add one per-trial observation. */
-    void add(double x);
-
-    /** Welford count/mean/variance/min/max/sum. */
-    const SummaryStats &summary() const { return s; }
-
-    double p50() const { return q50.value(); }
-    double p95() const { return q95.value(); }
-    double p99() const { return q99.value(); }
-
-    /** Any quantile, from the t-digest (see campaign/tdigest.hh). */
-    double quantile(double q) const { return td.quantile(q); }
-
-    /** The underlying mergeable sketch. */
-    const TDigest &digest() const { return td; }
-
-    /**
-     * Normal-approximation half-width of the confidence interval on
-     * the mean: z * stddev / sqrt(n). Zero for fewer than 2 samples.
-     */
-    double meanCiHalfWidth(double z = 1.96) const;
-
-    /**
-     * @name Checkpoint state access
-     * The P² sketches behind p50/p95/p99, and a restore factory that
-     * rebuilds the whole per-metric aggregate mid-stream. Feeding the
-     * same tail of observations to a restored metric yields state (and
-     * serialized bytes) identical to never having checkpointed — the
-     * invariant campaign/checkpoint.hh is built on.
-     */
-    ///@{
-    const P2Quantile &sketch50() const { return q50; }
-    const P2Quantile &sketch95() const { return q95; }
-    const P2Quantile &sketch99() const { return q99; }
-    static MetricStats restore(const SummaryStats &summary,
-                               const P2Quantile &p50,
-                               const P2Quantile &p95,
-                               const P2Quantile &p99, TDigest digest);
-    ///@}
-
-  private:
-    SummaryStats s;
-    P2Quantile q50{0.50};
-    P2Quantile q95{0.95};
-    P2Quantile q99{0.99};
-    TDigest td{100.0};
-};
 
 } // namespace bpsim
 

@@ -1,17 +1,12 @@
 #include "campaign/shard.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
-#include "campaign/batch_kernel.hh"
 #include "campaign/json.hh"
-#include "campaign/runner.hh"
 #include "obs/obs.hh"
-#include "outage/trace.hh"
 #include "sim/logging.hh"
 
 namespace bpsim
@@ -19,8 +14,6 @@ namespace bpsim
 
 namespace
 {
-
-constexpr Time kYear = 365LL * 24 * kHour;
 
 /** Set @p error (when wired) and return false: validation helper. */
 bool
@@ -32,103 +25,163 @@ failMerge(std::string *error, std::string why)
 }
 
 /**
- * Emit the optional "histograms" member: name -> sparse bucket map.
- * Omitted entirely when empty, so files from uninstrumented runs stay
- * byte-identical to plain schema v1 (the counters-sidecar contract).
+ * Emit the optional obs members: "counters" (name -> count),
+ * "histograms" (name -> sparse bucket map) and "incidents". Each is
+ * omitted entirely when empty, so files from uninstrumented runs carry
+ * no obs members at all.
  */
 void
-writeHistogramsObject(
-    JsonWriter &w,
-    const std::map<std::string, obs::HistogramSnapshot> &histograms)
+writeObsJson(JsonWriter &w,
+             const std::map<std::string, std::uint64_t> &counters,
+             const std::map<std::string, obs::HistogramSnapshot> &histograms,
+             const obs::IncidentAggregate &incidents)
 {
-    if (histograms.empty())
-        return;
-    w.key("histograms").beginObject();
-    for (const auto &[name, h] : histograms) {
-        w.key(name).beginObject();
-        w.key("buckets").beginObject();
-        for (const auto &[i, c] : h.buckets)
-            w.field(std::to_string(i), c);
-        w.endObject();
+    if (!counters.empty()) {
+        w.key("counters").beginObject();
+        for (const auto &[name, v] : counters)
+            w.field(name, v);
         w.endObject();
     }
-    w.endObject();
-}
-
-/**
- * Aggregate one trial into the shard, in local-trial order; identical
- * between the scalar and batched drivers by construction.
- */
-void
-aggregateShardTrial(ShardResult &out, const ShardOptions &opts,
-                    std::uint64_t local, std::uint64_t width,
-                    const AnnualResult &r)
-{
-    out.downtimeMin.add(r.downtimeMin);
-    out.lossesPerYear.add(static_cast<double>(r.losses));
-    out.meanPerf.add(r.meanPerf);
-    out.batteryKwh.add(r.batteryKwh);
-    out.worstGapMin.add(r.worstGapMin);
-    // Per-trial distribution metrics (consume runs in trial
-    // order, so the bucket counts are thread-count invariant).
-    BPSIM_OBS_HISTOGRAM_RECORD("campaign.trial_downtime_min",
-                               r.downtimeMin);
-    BPSIM_OBS_HISTOGRAM_RECORD("campaign.trial_worst_gap_min",
-                               r.worstGapMin);
-    if (r.losses == 0)
-        ++out.lossFreeTrials;
-    ++out.trials;
-    const bool last = local + 1 == width;
-    if (last || (opts.checkpointEvery != 0 &&
-                 (local + 1) % opts.checkpointEvery == 0)) {
-        out.checkpoints.push_back(
-            {out.trials, out.downtimeMin.sum(), out.downtimeMin.sumSq()});
+    if (!histograms.empty()) {
+        w.key("histograms").beginObject();
+        for (const auto &[name, h] : histograms) {
+            w.key(name).beginObject();
+            w.key("buckets").beginObject();
+            for (const auto &[i, c] : h.buckets)
+                w.field(std::to_string(i), c);
+            w.endObject();
+            w.endObject();
+        }
+        w.endObject();
+    }
+    if (!incidents.empty()) {
+        w.key("incidents");
+        incidents.writeJson(w);
     }
 }
 
-/**
- * Shared bracket around both shard drivers: obs counter/histogram
- * deltas, the trace bookmark for the incident fold, provenance, and
- * wall-clock — everything a shard file carries besides the trial
- * aggregates that @p run produces.
- */
-template <typename RunFn>
-ShardResult
-runShardWithBrackets(const ShardSpec &spec, RunFn &&run)
+/** Digits-only bucket-index parse (no exceptions, no sign, no 0x). */
+bool
+parseBucketIndex(const std::string &s, std::uint32_t &out)
 {
-    BPSIM_ASSERT(spec.hi > spec.lo && spec.hi <= spec.campaignTrials,
-                 "shard range [%llu, %llu) invalid for a %llu-trial "
-                 "campaign",
-                 static_cast<unsigned long long>(spec.lo),
-                 static_cast<unsigned long long>(spec.hi),
-                 static_cast<unsigned long long>(spec.campaignTrials));
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto counters_before = obs::Registry::global().counterSnapshot();
-    const auto histograms_before =
-        obs::Registry::global().histogramSnapshot();
-    // Bookmark (not drain) the trace: the incident engine folds this
-    // shard's events below while leaving them in place for the
-    // caller's own drain()-based export.
-    const auto trace_mark = obs::TraceSink::instance().mark();
+    if (s.empty() || s.size() > 9)
+        return false;
+    std::uint32_t v = 0;
+    for (const char c : s) {
+        if (c < '0' || c > '9')
+            return false;
+        v = v * 10 + static_cast<std::uint32_t>(c - '0');
+    }
+    out = v;
+    return true;
+}
 
-    ShardResult out;
-    out.spec = spec;
-    out.build = buildId();
-    run(out);
+/** The body of readShardJson, reporting the first defect found. */
+bool
+readShard(const JsonValue &doc, ShardResult &out, std::string *error)
+{
+    const auto bad = [error](const std::string &what) {
+        return failMerge(error, "missing or malformed " + what);
+    };
+    std::string schema;
+    if (!jsonString(doc, "schema", schema) || schema != kShardSchemaName)
+        return failMerge(error,
+                         "not a campaign shard file (schema mismatch)");
+    std::uint64_t version = 0;
+    if (!jsonUint(doc, "schema_version", version) ||
+        version != kShardSchemaVersion)
+        return failMerge(error,
+                         formatString("unsupported shard schema version "
+                                      "(want %d)",
+                                      kShardSchemaVersion));
 
-    out.counters = obs::subtractCounters(
-        obs::Registry::global().counterSnapshot(), counters_before);
-    out.histograms = obs::subtractHistograms(
-        obs::Registry::global().histogramSnapshot(), histograms_before);
-    if (obs::enabled())
-        out.incidents =
-            obs::buildIncidentReport(
-                obs::TraceSink::instance().eventsSince(trace_mark))
-                .aggregate;
-    const std::chrono::duration<double> wall =
-        std::chrono::steady_clock::now() - t0;
-    out.wallSeconds = wall.count();
-    return out;
+    ShardSpec &spec = out.spec;
+    const std::pair<const char *, std::uint64_t *> counts[] = {
+        {"seed", &spec.seed},
+        {"campaign_trials", &spec.campaignTrials},
+        {"trial_lo", &spec.lo},
+        {"trial_hi", &spec.hi},
+        {"shard_index", &spec.shardIndex},
+        {"shard_count", &spec.shardCount},
+        {"trials", &out.trials},
+        {"loss_free_trials", &out.lossFreeTrials}};
+    for (const auto &[key, into] : counts)
+        if (!jsonUint(doc, key, *into))
+            return bad(std::string("\"") + key + "\"");
+    if (!jsonString(doc, "build", out.build))
+        return bad("\"build\"");
+    if (!jsonNumber(doc, "wall_seconds", out.wallSeconds))
+        return bad("\"wall_seconds\"");
+    if (spec.lo >= spec.hi || spec.hi > spec.campaignTrials ||
+        spec.shardIndex >= spec.shardCount ||
+        out.trials != spec.width() || out.lossFreeTrials > out.trials)
+        return failMerge(error, "inconsistent trial range or counts");
+
+    const JsonValue *metrics = doc.find("metrics");
+    if (!metrics || metrics->kind() != JsonValue::Kind::Object)
+        return bad("\"metrics\"");
+    for (const auto &[name, field] : kTrialMetrics) {
+        const JsonValue *m = metrics->find(name);
+        auto metric = m ? MergingMetric::fromJson(*m) : std::nullopt;
+        if (!metric || metric->count() != out.trials)
+            return bad(std::string("metric \"") + name + "\"");
+        out.*field = std::move(*metric);
+    }
+
+    const JsonValue *cps = doc.find("checkpoints");
+    if (!cps || cps->kind() != JsonValue::Kind::Array)
+        return bad("\"checkpoints\"");
+    for (std::size_t i = 0; i < cps->size(); ++i) {
+        const JsonValue &c = cps->item(i);
+        ShardCheckpoint cp;
+        const JsonValue *sum = c.find("sum");
+        const JsonValue *sum_sq = c.find("sum_sq");
+        auto s = sum ? ExactSum::fromJson(*sum) : std::nullopt;
+        auto sq = sum_sq ? ExactSum::fromJson(*sum_sq) : std::nullopt;
+        if (!jsonUint(c, "trials", cp.trials) || cp.trials > out.trials ||
+            !s || !sq)
+            return bad("checkpoint");
+        cp.sum = *s;
+        cp.sumSq = *sq;
+        out.checkpoints.push_back(std::move(cp));
+    }
+
+    if (const JsonValue *cs = doc.find("counters")) {
+        if (cs->kind() != JsonValue::Kind::Object)
+            return bad("\"counters\"");
+        for (std::size_t i = 0; i < cs->size(); ++i) {
+            const auto &[name, v] = cs->member(i);
+            if (!v.isUint())
+                return bad("counter \"" + name + "\"");
+            out.counters[name] = v.asUint();
+        }
+    }
+    if (const JsonValue *hs = doc.find("histograms")) {
+        if (hs->kind() != JsonValue::Kind::Object)
+            return bad("\"histograms\"");
+        for (std::size_t i = 0; i < hs->size(); ++i) {
+            const auto &[name, h] = hs->member(i);
+            const JsonValue *buckets = h.find("buckets");
+            if (!buckets || buckets->kind() != JsonValue::Kind::Object)
+                return bad("histogram \"" + name + "\"");
+            obs::HistogramSnapshot snap;
+            for (std::size_t j = 0; j < buckets->size(); ++j) {
+                const auto &[idx, c] = buckets->member(j);
+                std::uint32_t bucket = 0;
+                if (!parseBucketIndex(idx, bucket) || !c.isUint())
+                    return bad("histogram \"" + name + "\" bucket");
+                snap.buckets[bucket] = c.asUint();
+            }
+            out.histograms[name] = std::move(snap);
+        }
+    }
+    if (const JsonValue *inc = doc.find("incidents")) {
+        auto incidents = obs::IncidentAggregate::fromJson(*inc);
+        if (!incidents)
+            return bad("\"incidents\"");
+        out.incidents = std::move(*incidents);
+    }
+    return true;
 }
 
 } // namespace
@@ -156,198 +209,6 @@ shardOf(std::uint64_t seed, std::uint64_t trials, std::uint64_t index,
 }
 
 void
-MergingMetric::add(double x)
-{
-    if (n_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++n_;
-    sum_.add(x);
-    sumSq_.add(x * x);
-    digest_.add(x);
-}
-
-void
-MergingMetric::merge(const MergingMetric &other)
-{
-    if (other.n_ == 0)
-        return;
-    if (n_ == 0) {
-        min_ = other.min_;
-        max_ = other.max_;
-    } else {
-        min_ = std::min(min_, other.min_);
-        max_ = std::max(max_, other.max_);
-    }
-    n_ += other.n_;
-    sum_.merge(other.sum_);
-    sumSq_.merge(other.sumSq_);
-    digest_.merge(other.digest_);
-}
-
-double
-MergingMetric::mean() const
-{
-    return n_ ? sum_.value() / static_cast<double>(n_) : 0.0;
-}
-
-double
-MergingMetric::variance() const
-{
-    if (n_ < 2)
-        return 0.0;
-    const auto n = static_cast<double>(n_);
-    const double s = sum_.value();
-    return std::max(0.0, (sumSq_.value() - s * s / n) / n);
-}
-
-double
-MergingMetric::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-double
-MergingMetric::meanCiHalfWidth(double z) const
-{
-    if (n_ < 2)
-        return 0.0;
-    return z * stddev() / std::sqrt(static_cast<double>(n_));
-}
-
-void
-MergingMetric::writeJson(JsonWriter &w) const
-{
-    w.beginObject();
-    w.field("count", n_);
-    w.field("min", min());
-    w.field("max", max());
-    w.field("mean", mean()); // derived; readers ignore it
-    w.key("sum");
-    sum_.writeJson(w);
-    w.key("sum_sq");
-    sumSq_.writeJson(w);
-    w.key("tdigest");
-    digest_.writeJson(w);
-    w.endObject();
-}
-
-MergingMetric
-MergingMetric::fromJson(const JsonValue &v)
-{
-    MergingMetric m;
-    m.n_ = v.at("count").asUint();
-    m.min_ = v.at("min").asDouble();
-    m.max_ = v.at("max").asDouble();
-    m.sum_ = ExactSum::fromJson(v.at("sum"));
-    m.sumSq_ = ExactSum::fromJson(v.at("sum_sq"));
-    m.digest_ = TDigest::fromJson(v.at("tdigest"));
-    return m;
-}
-
-ShardResult
-runAnnualShard(const AnnualTrialFn &trial, const ShardSpec &spec,
-               const ShardOptions &opts)
-{
-    return runShardWithBrackets(spec, [&](ShardResult &out) {
-        const std::uint64_t width = spec.width();
-
-        const std::function<AnnualResult(std::uint64_t)> body =
-            [&](std::uint64_t local) {
-                const std::uint64_t id = spec.lo + local;
-                // Tag every trace event with the GLOBAL trial id:
-                // (trial, seq) is the thread-count-invariant trace
-                // sort key.
-                const obs::TrialScope trace_scope(id);
-                Rng rng = Rng::stream(spec.seed, id);
-                return trial(id, rng);
-            };
-        const std::function<bool(std::uint64_t, AnnualResult &&)>
-            consume = [&](std::uint64_t local, AnnualResult &&r) {
-                aggregateShardTrial(out, opts, local, width, r);
-                return true; // shards never stop early
-            };
-
-        CampaignOptions copts;
-        copts.threads = opts.threads;
-        runCampaign<AnnualResult>(width, body, consume, copts);
-    });
-}
-
-namespace
-{
-
-/**
- * Batched shard driver: lane batches across the pool, unpacked through
- * the same local-trial-order aggregation (including the checkpoint
- * cadence), so shard files are byte-identical to the scalar driver's
- * for any (batch, threads).
- */
-ShardResult
-runBatchedShard(const AnnualCampaignSpec &scenario, const ShardSpec &spec,
-                const ShardOptions &opts)
-{
-    return runShardWithBrackets(spec, [&](ShardResult &out) {
-        const std::uint64_t width = spec.width();
-        const BatchAnnualKernel kernel(scenario.profile,
-                                       scenario.nServers,
-                                       scenario.technique,
-                                       scenario.config);
-        const std::uint64_t batch = opts.batch;
-        const std::uint64_t chunks = (width + batch - 1) / batch;
-
-        const std::function<std::vector<AnnualResult>(std::uint64_t)>
-            body = [&](std::uint64_t chunk) {
-                const std::uint64_t lo = spec.lo + chunk * batch;
-                const std::uint64_t hi =
-                    std::min(lo + batch, spec.hi);
-                std::vector<AnnualResult> results(
-                    static_cast<std::size_t>(hi - lo));
-                kernel.runBatch(spec.seed, lo, hi, results.data());
-                return results;
-            };
-        const std::function<bool(std::uint64_t,
-                                 std::vector<AnnualResult> &&)>
-            consume = [&](std::uint64_t chunk,
-                          std::vector<AnnualResult> &&results) {
-                const std::uint64_t first = chunk * batch;
-                for (std::size_t i = 0; i < results.size(); ++i)
-                    aggregateShardTrial(out, opts, first + i, width,
-                                        results[i]);
-                return true; // shards never stop early
-            };
-
-        CampaignOptions copts;
-        copts.threads = opts.threads;
-        runCampaign<std::vector<AnnualResult>>(chunks, body, consume,
-                                               copts);
-    });
-}
-
-} // namespace
-
-ShardResult
-runAnnualShard(const AnnualCampaignSpec &scenario, const ShardSpec &spec,
-               const ShardOptions &opts)
-{
-    if (opts.batch != 0)
-        return runBatchedShard(scenario, spec, opts);
-    const auto gen = OutageTraceGenerator::figure1();
-    const AnnualSimulator sim;
-    return runAnnualShard(
-        [&](std::uint64_t, Rng &rng) {
-            const auto events = gen.generate(rng, kYear);
-            return sim.runYear(scenario.profile, scenario.nServers,
-                               scenario.technique, scenario.config,
-                               events);
-        },
-        spec, opts);
-}
-
-void
 writeShardJson(std::ostream &os, const ShardResult &shard)
 {
     JsonWriter w(os);
@@ -365,15 +226,10 @@ writeShardJson(std::ostream &os, const ShardResult &shard)
     w.field("trials", shard.trials);
     w.field("loss_free_trials", shard.lossFreeTrials);
     w.key("metrics").beginObject();
-    const auto metric = [&w](const char *name, const MergingMetric &m) {
+    for (const auto &[name, metric] : kTrialMetrics) {
         w.key(name);
-        m.writeJson(w);
-    };
-    metric("downtime_min", shard.downtimeMin);
-    metric("losses_per_year", shard.lossesPerYear);
-    metric("mean_perf", shard.meanPerf);
-    metric("battery_kwh", shard.batteryKwh);
-    metric("worst_gap_min", shard.worstGapMin);
+        (shard.*metric).writeJson(w);
+    }
     w.endObject();
     w.key("checkpoints").beginArray();
     for (const auto &c : shard.checkpoints) {
@@ -386,20 +242,7 @@ writeShardJson(std::ostream &os, const ShardResult &shard)
         w.endObject();
     }
     w.endArray();
-    // Only present when observability produced counts: shard files
-    // from uninstrumented runs stay byte-identical to plain schema v1.
-    if (!shard.counters.empty()) {
-        w.key("counters").beginObject();
-        for (const auto &[name, v] : shard.counters)
-            w.field(name, v);
-        w.endObject();
-    }
-    writeHistogramsObject(w, shard.histograms);
-    // Same omitted-when-empty contract as counters/histograms.
-    if (!shard.incidents.empty()) {
-        w.key("incidents");
-        shard.incidents.writeJson(w);
-    }
+    writeObsJson(w, shard.counters, shard.histograms, shard.incidents);
     w.endObject();
     os << '\n';
 }
@@ -410,73 +253,9 @@ readShardJson(const std::string &text, std::string *error)
     const auto doc = parseJson(text, error);
     if (!doc)
         return std::nullopt;
-
-    const JsonValue *schema = doc->find("schema");
-    if (!schema || schema->kind() != JsonValue::Kind::String ||
-        schema->asString() != kShardSchemaName) {
-        failMerge(error, "not a campaign shard file (schema mismatch)");
-        return std::nullopt;
-    }
-    const JsonValue *version = doc->find("schema_version");
-    if (!version || version->asInt() != kShardSchemaVersion) {
-        failMerge(error,
-                  formatString("unsupported shard schema version "
-                               "(want %d)",
-                               kShardSchemaVersion));
-        return std::nullopt;
-    }
-
     ShardResult out;
-    out.spec.seed = doc->at("seed").asUint();
-    out.spec.campaignTrials = doc->at("campaign_trials").asUint();
-    out.spec.lo = doc->at("trial_lo").asUint();
-    out.spec.hi = doc->at("trial_hi").asUint();
-    out.spec.shardIndex = doc->at("shard_index").asUint();
-    out.spec.shardCount = doc->at("shard_count").asUint();
-    out.build = doc->at("build").asString();
-    out.wallSeconds = doc->at("wall_seconds").asDouble();
-    out.trials = doc->at("trials").asUint();
-    out.lossFreeTrials = doc->at("loss_free_trials").asUint();
-
-    const JsonValue &metrics = doc->at("metrics");
-    out.downtimeMin = MergingMetric::fromJson(metrics.at("downtime_min"));
-    out.lossesPerYear =
-        MergingMetric::fromJson(metrics.at("losses_per_year"));
-    out.meanPerf = MergingMetric::fromJson(metrics.at("mean_perf"));
-    out.batteryKwh = MergingMetric::fromJson(metrics.at("battery_kwh"));
-    out.worstGapMin =
-        MergingMetric::fromJson(metrics.at("worst_gap_min"));
-
-    const JsonValue &cps = doc->at("checkpoints");
-    for (std::size_t i = 0; i < cps.size(); ++i) {
-        const JsonValue &c = cps.item(i);
-        out.checkpoints.push_back(
-            {c.at("trials").asUint(), ExactSum::fromJson(c.at("sum")),
-             ExactSum::fromJson(c.at("sum_sq"))});
-    }
-    if (const JsonValue *cs = doc->find("counters")) {
-        for (std::size_t i = 0; i < cs->size(); ++i) {
-            const auto &[name, v] = cs->member(i);
-            out.counters[name] = v.asUint();
-        }
-    }
-    if (const JsonValue *hs = doc->find("histograms")) {
-        for (std::size_t i = 0; i < hs->size(); ++i) {
-            const auto &[name, h] = hs->member(i);
-            obs::HistogramSnapshot snap;
-            const JsonValue &buckets = h.at("buckets");
-            for (std::size_t j = 0; j < buckets.size(); ++j) {
-                const auto &[idx, c] = buckets.member(j);
-                snap.buckets[static_cast<std::uint32_t>(
-                    std::stoul(idx))] = c.asUint();
-            }
-            out.histograms[name] = std::move(snap);
-        }
-    }
-    // Pre-forensics shard files have no "incidents" member; they
-    // parse (and merge) with an empty aggregate.
-    if (const JsonValue *inc = doc->find("incidents"))
-        out.incidents = obs::IncidentAggregate::fromJson(*inc);
+    if (!readShard(*doc, out, error))
+        return std::nullopt;
     return out;
 }
 
@@ -501,44 +280,31 @@ EarlyStopDecision
 evaluateEarlyStop(const std::vector<ShardResult> &shards,
                   const EarlyStopRule &rule)
 {
-    EarlyStopDecision out;
     if (!rule.enabled())
-        return out;
-
+        return {};
     // Exact running prefix over fully merged earlier shards.
     std::uint64_t prefix_n = 0;
     ExactSum prefix_sum, prefix_sq;
+    const auto at = [&](std::uint64_t trials, const ExactSum &sum,
+                        const ExactSum &sum_sq) {
+        ExactSum s = prefix_sum;
+        s.merge(sum);
+        ExactSum sq = prefix_sq;
+        sq.merge(sum_sq);
+        return rule.evaluate(prefix_n + trials, s, sq);
+    };
     for (const auto &s : shards) {
-        for (const auto &c : s.checkpoints) {
-            const std::uint64_t t = prefix_n + c.trials;
-            if (t < rule.minTrials)
-                continue;
-            ExactSum sum = prefix_sum;
-            sum.merge(c.sum);
-            ExactSum sq = prefix_sq;
-            sq.merge(c.sumSq);
-            const auto n = static_cast<double>(t);
-            const double sv = sum.value();
-            const double mean = sv / n;
-            const double var =
-                t < 2 ? 0.0
-                      : std::max(0.0, (sq.value() - sv * sv / n) / n);
-            const double hw = rule.ciZ * std::sqrt(var / n);
-            const double tol = std::max(rule.ciAbsTolMin,
-                                        rule.ciRelTol * std::abs(mean));
-            if (hw <= tol) {
-                out.fired = true;
-                out.stopTrial = t;
-                out.halfWidth = hw;
-                out.mean = mean;
-                return out;
-            }
-        }
+        for (const auto &c : s.checkpoints)
+            if (const auto d = at(c.trials, c.sum, c.sumSq); d.fired)
+                return d;
+        const MergingMetric &down = s.downtimeMin;
+        if (const auto d = at(s.trials, down.sum(), down.sumSq()); d.fired)
+            return d;
         prefix_n += s.trials;
-        prefix_sum.merge(s.downtimeMin.sum());
-        prefix_sq.merge(s.downtimeMin.sumSq());
+        prefix_sum.merge(down.sum());
+        prefix_sq.merge(down.sumSq());
     }
-    return out;
+    return {};
 }
 
 std::optional<MergedCampaign>
@@ -611,15 +377,9 @@ mergeShards(std::vector<ShardResult> shards, const EarlyStopRule *rule,
 
     MergedCampaign m;
     m.seed = seed;
-    m.trials = total;
     m.shardCount = shards.size();
     for (const auto &s : shards) {
-        m.downtimeMin.merge(s.downtimeMin);
-        m.lossesPerYear.merge(s.lossesPerYear);
-        m.meanPerf.merge(s.meanPerf);
-        m.batteryKwh.merge(s.batteryKwh);
-        m.worstGapMin.merge(s.worstGapMin);
-        m.lossFreeTrials += s.lossFreeTrials;
+        m.merge(s);
         obs::mergeCounters(m.counters, s.counters);
         obs::mergeHistograms(m.histograms, s.histograms);
         m.incidents.merge(s.incidents);
@@ -642,40 +402,8 @@ writeMergedJson(std::ostream &os, const MergedCampaign &m)
     w.field("seed", m.seed);
     w.field("trials", m.trials);
     w.field("shard_count", m.shardCount);
-    const auto metric = [&w](const char *name, const MergingMetric &x) {
-        w.key(name).beginObject();
-        w.field("count", x.count());
-        w.field("mean", x.mean());
-        w.field("stddev", x.stddev());
-        w.field("min", x.min());
-        w.field("max", x.max());
-        w.field("p50", x.p50());
-        w.field("p95", x.p95());
-        w.field("p99", x.p99());
-        w.endObject();
-    };
-    metric("downtime_min", m.downtimeMin);
-    metric("losses_per_year", m.lossesPerYear);
-    metric("mean_perf", m.meanPerf);
-    metric("battery_kwh", m.batteryKwh);
-    metric("worst_gap_min", m.worstGapMin);
-    w.key("loss_free").beginObject();
-    w.field("trials", m.lossFreeTrials);
-    w.field("fraction", m.lossFree.fraction);
-    w.field("ci_lo", m.lossFree.lo);
-    w.field("ci_hi", m.lossFree.hi);
-    w.endObject();
-    if (!m.counters.empty()) {
-        w.key("counters").beginObject();
-        for (const auto &[name, v] : m.counters)
-            w.field(name, v);
-        w.endObject();
-    }
-    writeHistogramsObject(w, m.histograms);
-    if (!m.incidents.empty()) {
-        w.key("incidents");
-        m.incidents.writeJson(w);
-    }
+    writeAggregateJson(w, m, m.lossFree);
+    writeObsJson(w, m.counters, m.histograms, m.incidents);
     w.key("early_stop").beginObject();
     w.field("fired", m.earlyStop.fired);
     w.field("stop_trial", m.earlyStop.stopTrial);

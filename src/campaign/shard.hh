@@ -19,8 +19,12 @@
  * in-order trial prefix, which no single shard owns. Shards therefore
  * record cumulative checkpoints of the downtime sums at a configurable
  * cadence; `evaluateEarlyStop` replays the merged in-order prefix at
- * those boundaries and reports where a single-machine coordinator
- * would have stopped. See docs/CAMPAIGN.md "Sharding".
+ * those boundaries (and at every shard end) and reports where a
+ * single-machine coordinator would have stopped. See docs/CAMPAIGN.md
+ * "Sharding".
+ *
+ * The shard file is also the campaign checkpoint format: a checkpoint
+ * is the shard file of trials [0, K) (campaign/checkpoint.hh).
  */
 
 #ifndef BPSIM_CAMPAIGN_SHARD_HH
@@ -34,8 +38,6 @@
 #include <vector>
 
 #include "campaign/annual_campaign.hh"
-#include "campaign/exact_sum.hh"
-#include "campaign/tdigest.hh"
 #include "obs/histogram.hh"
 #include "obs/incident.hh"
 
@@ -43,11 +45,9 @@ namespace bpsim
 {
 
 /** Version stamped into every shard file; bump on format changes. */
-constexpr int kShardSchemaVersion = 1;
+constexpr int kShardSchemaVersion = 2;
 /** Schema identifier stamped into every shard file. */
 constexpr const char *kShardSchemaName = "bpsim.campaign.shard";
-/** Digest compression used for shard metrics (≲1% mid-rank error). */
-constexpr double kShardDigestCompression = 100.0;
 
 /** Identity of one shard within a larger campaign. */
 struct ShardSpec
@@ -73,52 +73,6 @@ ShardSpec shardOf(std::uint64_t seed, std::uint64_t trials,
                   std::uint64_t index, std::uint64_t count);
 
 /**
- * One mergeable campaign metric: integer count, ExactSum sums (for
- * bit-stable mean/variance under any partitioning), exact min/max,
- * and a t-digest for quantiles.
- */
-class MergingMetric
-{
-  public:
-    /** Add one per-trial observation. */
-    void add(double x);
-
-    /** Fold another metric in (exact except for digest placement). */
-    void merge(const MergingMetric &other);
-
-    std::uint64_t count() const { return n_; }
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-    /** sum/n via ExactSum: bit-identical for any shard partition. */
-    double mean() const;
-    /** Population variance from exact sums (clamped at 0). */
-    double variance() const;
-    double stddev() const;
-    /** z * stddev / sqrt(n), as MetricStats::meanCiHalfWidth. */
-    double meanCiHalfWidth(double z = 1.96) const;
-
-    double quantile(double q) const { return digest_.quantile(q); }
-    double p50() const { return quantile(0.50); }
-    double p95() const { return quantile(0.95); }
-    double p99() const { return quantile(0.99); }
-
-    const ExactSum &sum() const { return sum_; }
-    const ExactSum &sumSq() const { return sumSq_; }
-    const TDigest &digest() const { return digest_; }
-
-    /** Emit as a JSON object in value position. */
-    void writeJson(JsonWriter &w) const;
-    /** Rebuild from writeJson output. */
-    static MergingMetric fromJson(const JsonValue &v);
-
-  private:
-    std::uint64_t n_ = 0;
-    double min_ = 0.0, max_ = 0.0;
-    ExactSum sum_, sumSq_;
-    TDigest digest_{kShardDigestCompression};
-};
-
-/**
  * Cumulative prefix snapshot of the early-stop metric (downtime
  * min/yr) after the first @p trials trials *of this shard*.
  */
@@ -128,43 +82,36 @@ struct ShardCheckpoint
     ExactSum sum, sumSq;
 };
 
-/** Aggregates of one executed shard. */
-struct ShardResult
+/**
+ * Aggregates of one executed shard: global trials [spec.lo, spec.hi),
+ * all of them (trials == spec.width()).
+ */
+struct ShardResult : TrialAggregate
 {
     ShardSpec spec;
-    /** Trials executed (== spec.width()). */
-    std::uint64_t trials = 0;
 
-    /** @name Per-metric mergeable aggregates (in trial order) */
-    ///@{
-    MergingMetric downtimeMin;
-    MergingMetric lossesPerYear;
-    MergingMetric meanPerf;
-    MergingMetric batteryKwh;
-    MergingMetric worstGapMin;
-    ///@}
-
-    /** Trials with zero abrupt power-loss events. */
-    std::uint64_t lossFreeTrials = 0;
-
-    /** Early-stop bookkeeping (cumulative downtime prefixes). */
+    /**
+     * Early-stop bookkeeping: cumulative downtime prefixes at every
+     * checkpointEvery-th trial (the shard end is implicit in the
+     * metrics).
+     */
     std::vector<ShardCheckpoint> checkpoints;
 
     /**
      * Observability counter deltas accumulated while this shard ran
      * (obs::Registry names -> counts). Empty when observability is
      * disabled — and then omitted from the shard file, so files from
-     * uninstrumented runs are byte-identical to schema v1 without
-     * counters. Merged key-wise (addition) by mergeShards().
+     * uninstrumented runs carry no obs members at all. Merged key-wise
+     * (addition) by mergeShards().
      */
     std::map<std::string, std::uint64_t> counters;
 
     /**
      * Observability histogram deltas (sparse bucket counts) captured
      * the same way as `counters` and with the same invariants: empty
-     * (and omitted from the file — schema v1 bytes unchanged) when
-     * observability is disabled; merged bucket-wise by mergeShards(),
-     * bit-identical for any shard partition or merge order.
+     * (and omitted from the file) when observability is disabled;
+     * merged bucket-wise by mergeShards(), bit-identical for any shard
+     * partition or merge order.
      */
     std::map<std::string, obs::HistogramSnapshot> histograms;
 
@@ -172,15 +119,15 @@ struct ShardResult
      * Incident forensics rollup (downtime attribution by root cause)
      * folded from this shard's trace by the incident engine. Same
      * contract as `counters`/`histograms`: empty — and omitted from
-     * the shard file, keeping schema-v1 bytes — when observability is
-     * off; merged exactly (ExactSum) by mergeShards(), bit-identical
-     * for any shard partition or merge order.
+     * the shard file — when observability is off; merged exactly
+     * (ExactSum) by mergeShards(), bit-identical for any shard
+     * partition or merge order.
      */
     obs::IncidentAggregate incidents;
 
     /** Build id of the producing binary (git describe). */
     std::string build;
-    /** Wall-clock time (informational, not merged). */
+    /** Wall-clock time (informational, not merged; 0 in checkpoints). */
     double wallSeconds = 0.0;
 };
 
@@ -197,37 +144,39 @@ struct ShardOptions
     std::uint64_t checkpointEvery = 0;
     /**
      * Trials per batched-kernel lane batch (0 = scalar per-trial
-     * path). Routes the scenario overload through
-     * campaign/batch_kernel; shard files stay byte-identical for any
-     * batch size. Ignored by the custom-trial-body overload.
+     * path). Routes the shard through campaign/batch_kernel; shard
+     * files stay byte-identical for any batch size.
      */
     std::uint64_t batch = 0;
 };
 
 /**
- * Run one shard of a campaign with a custom trial body. The body sees
- * GLOBAL trial ids (spec.lo .. spec.hi-1) and the same
- * Rng::stream(seed, id) streams as an unsharded run; results are
- * consumed in trial order, so the shard aggregates are bit-identical
- * for any thread count. Shards never stop early — the stop rule is
- * the merging coordinator's call.
+ * Run one shard of the standard scenario campaign: the in-order
+ * campaign driver over GLOBAL trials [spec.lo, spec.hi), with no stop
+ * rule and the prefix-checkpoint cadence, under the obs-delta bracket.
+ * Trial t draws from the same Rng::stream(seed, t) as an unsharded
+ * run, so the shard aggregates are bit-identical for any thread count
+ * and batch size. Shards never stop early — the stop rule is the
+ * merging coordinator's call. (Defined beside that driver, in
+ * annual_campaign.cc.)
  */
-ShardResult runAnnualShard(const AnnualTrialFn &trial,
-                           const ShardSpec &spec,
-                           const ShardOptions &opts = {});
-
-/** Run one shard of the standard scenario campaign. */
 ShardResult runAnnualShard(const AnnualCampaignSpec &scenario,
                            const ShardSpec &spec,
                            const ShardOptions &opts = {});
 
-/** Write the self-describing shard aggregate file (schema v1). */
+/**
+ * Write the self-describing shard aggregate file (schema v2): exact
+ * metric state (ExactSum limbs, t-digest centroids AND unflushed
+ * buffer), prefix checkpoints, and the obs members when non-empty.
+ */
 void writeShardJson(std::ostream &os, const ShardResult &shard);
 
 /**
  * Parse a shard aggregate file. Returns nullopt (with a reason in
- * @p error) on schema mismatch or malformed input rather than
- * asserting, so a coordinator can reject foreign files gracefully.
+ * @p error) on schema mismatch or ANY malformed input — missing or
+ * mistyped members, bad bucket keys, inconsistent counts, truncation —
+ * rather than asserting or throwing, so a coordinator or the what-if
+ * server can reject foreign or corrupt files gracefully.
  */
 std::optional<ShardResult> readShardJson(const std::string &text,
                                          std::string *error = nullptr);
@@ -236,62 +185,24 @@ std::optional<ShardResult> readShardJson(const std::string &text,
 std::optional<ShardResult> readShardFile(const std::string &path,
                                          std::string *error = nullptr);
 
-/** The campaign early-stop rule, as AnnualCampaignOptions. */
-struct EarlyStopRule
-{
-    std::uint64_t minTrials = 64;
-    double ciRelTol = 0.0;
-    double ciAbsTolMin = 0.0;
-    double ciZ = 1.96;
-
-    bool
-    enabled() const
-    {
-        return ciRelTol > 0.0 || ciAbsTolMin > 0.0;
-    }
-};
-
-/** Where the merged in-order prefix satisfies the stop rule. */
-struct EarlyStopDecision
-{
-    /** True when some evaluated prefix satisfied the rule. */
-    bool fired = false;
-    /** Trials a coordinator would have kept (prefix length). */
-    std::uint64_t stopTrial = 0;
-    /** CI half-width and mean at the stop point. */
-    double halfWidth = 0.0;
-    double mean = 0.0;
-};
-
 /**
  * Replay the early-stop rule over the merged in-order prefix of
  * @p shards (which must be sorted, contiguous from trial 0). The rule
- * is evaluated at every recorded checkpoint boundary; with
- * checkpointEvery == 1 this is exactly the single-machine rule, and
- * the decision is bit-identical for any sharding of the same campaign
- * whose checkpoint boundaries align.
+ * is evaluated at every recorded checkpoint boundary and every shard
+ * end; with checkpointEvery == 1 this is exactly the single-machine
+ * rule (EarlyStopRule::evaluate decides both), and the decision is
+ * bit-identical for any sharding of the same campaign whose checkpoint
+ * boundaries align.
  */
 EarlyStopDecision evaluateEarlyStop(const std::vector<ShardResult> &shards,
                                     const EarlyStopRule &rule);
 
-/** Merged aggregates of a complete campaign. */
-struct MergedCampaign
+/** Merged aggregates of a complete campaign (trials == N). */
+struct MergedCampaign : TrialAggregate
 {
     std::uint64_t seed = 0;
-    /** Campaign size N = sum of shard widths. */
-    std::uint64_t trials = 0;
     std::uint64_t shardCount = 0;
 
-    /** @name Merged per-metric aggregates */
-    ///@{
-    MergingMetric downtimeMin;
-    MergingMetric lossesPerYear;
-    MergingMetric meanPerf;
-    MergingMetric batteryKwh;
-    MergingMetric worstGapMin;
-    ///@}
-
-    std::uint64_t lossFreeTrials = 0;
     /** Loss-free fraction with its Wilson interval. */
     BinomialCi lossFree;
 

@@ -191,26 +191,6 @@ TDigest::quantile(double q) const
 void
 TDigest::writeJson(JsonWriter &w) const
 {
-    flush();
-    w.beginObject();
-    w.field("compression", compression_);
-    w.field("count", count_);
-    w.field("min", min());
-    w.field("max", max());
-    w.key("centroids").beginArray();
-    for (const auto &c : centroids_) {
-        w.beginArray();
-        w.value(c.mean);
-        w.value(c.weight);
-        w.endArray();
-    }
-    w.endArray();
-    w.endObject();
-}
-
-void
-TDigest::writeStateJson(JsonWriter &w) const
-{
     const auto points = [&w](const std::vector<Centroid> &list) {
         w.beginArray();
         for (const auto &c : list) {
@@ -234,35 +214,33 @@ TDigest::writeStateJson(JsonWriter &w) const
 }
 
 std::optional<TDigest>
-TDigest::fromStateJson(const JsonValue &v)
+TDigest::fromJson(const JsonValue &v)
 {
-    if (v.kind() != JsonValue::Kind::Object)
-        return std::nullopt;
-    const JsonValue *compression = v.find("compression");
-    const JsonValue *count = v.find("count");
-    const JsonValue *min = v.find("min");
-    const JsonValue *max = v.find("max");
-    if (!compression || compression->kind() != JsonValue::Kind::Number ||
-        compression->asDouble() < 10.0 || !count ||
-        count->kind() != JsonValue::Kind::Number ||
-        count->asDouble() < 0 ||
-        count->asDouble() != std::floor(count->asDouble()) || !min ||
-        min->kind() != JsonValue::Kind::Number || !max ||
-        max->kind() != JsonValue::Kind::Number)
+    double compression = 0.0, min = 0.0, max = 0.0;
+    std::uint64_t count = 0;
+    // The upper bound keeps a hostile compression from sizing the
+    // buffer reservation.
+    if (!jsonNumber(v, "compression", compression) ||
+        !(compression >= 10.0 && compression <= 1e4) ||
+        !jsonUint(v, "count", count) || !jsonNumber(v, "min", min) ||
+        !jsonNumber(v, "max", max) || !std::isfinite(min) ||
+        !std::isfinite(max))
         return std::nullopt;
 
-    TDigest d(compression->asDouble());
-    d.count_ = count->asUint();
-    d.min_ = min->asDouble();
-    d.max_ = max->asDouble();
+    TDigest d(compression);
+    d.count_ = count;
+    d.min_ = min;
+    d.max_ = max;
     // Both lists are restored verbatim (order included): the buffer's
     // insertion order feeds the next flush's stable sort, so it is
-    // part of the bit-exactness contract.
-    const auto points = [&v](const char *key,
+    // part of the bit-exactness contract. Flushed centroids must be
+    // sorted, as quantile() reads them without re-sorting.
+    const auto points = [&v](const char *key, bool sorted,
                              std::vector<Centroid> &into) {
         const JsonValue *list = v.find(key);
         if (!list || list->kind() != JsonValue::Kind::Array)
             return false;
+        double prev = -std::numeric_limits<double>::infinity();
         for (std::size_t i = 0; i < list->size(); ++i) {
             const JsonValue &c = list->item(i);
             if (c.kind() != JsonValue::Kind::Array || c.size() != 2 ||
@@ -271,38 +249,17 @@ TDigest::fromStateJson(const JsonValue &v)
                 return false;
             const double mean = c.item(0).asDouble();
             const double weight = c.item(1).asDouble();
-            if (!std::isfinite(mean) || !(weight > 0.0))
+            if (!std::isfinite(mean) || !(weight > 0.0) ||
+                !std::isfinite(weight) || (sorted && mean < prev))
                 return false;
             into.push_back({mean, weight});
+            prev = mean;
         }
         return true;
     };
-    if (!points("centroids", d.centroids_) ||
-        !points("buffer", d.buffer_))
+    if (!points("centroids", true, d.centroids_) ||
+        !points("buffer", false, d.buffer_))
         return std::nullopt;
-    return d;
-}
-
-TDigest
-TDigest::fromJson(const JsonValue &v)
-{
-    TDigest d(v.at("compression").asDouble());
-    d.count_ = v.at("count").asUint();
-    d.min_ = v.at("min").asDouble();
-    d.max_ = v.at("max").asDouble();
-    const JsonValue &cents = v.at("centroids");
-    double prev = -std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < cents.size(); ++i) {
-        const JsonValue &c = cents.item(i);
-        BPSIM_ASSERT(c.size() == 2, "centroid %zu is not a pair", i);
-        const double mean = c.item(0).asDouble();
-        const double weight = c.item(1).asDouble();
-        BPSIM_ASSERT(mean >= prev, "centroids not sorted at %zu", i);
-        BPSIM_ASSERT(weight > 0.0, "centroid %zu has weight %g", i,
-                     weight);
-        d.centroids_.push_back({mean, weight});
-        prev = mean;
-    }
     return d;
 }
 

@@ -2,13 +2,14 @@
  * @file
  * Mergeable streaming quantile sketch (t-digest, Dunning & Ertl).
  *
- * The P² sketch tracks one quantile in O(1) memory but two P² states
- * cannot be combined, which blocks distributed campaigns. A t-digest
- * keeps a size-bounded list of (mean, weight) centroids whose widths
- * follow the k1 scale function — fine near the tails, coarse in the
- * middle — so any two digests merge into a digest of the union with
- * bounded rank error. Campaign shards each build one digest per
- * metric and the coordinator merges them (see campaign/shard.hh).
+ * Fixed-marker streaming sketches (P², say) track one quantile in O(1)
+ * memory, but two such states cannot be combined, which blocks
+ * distributed campaigns. A t-digest keeps a size-bounded list of
+ * (mean, weight) centroids whose widths follow the k1 scale function —
+ * fine near the tails, coarse in the middle — so any two digests merge
+ * into a digest of the union with bounded rank error. Every campaign
+ * metric reads its quantiles from one digest; shards each build one
+ * per metric and the coordinator merges them (see campaign/shard.hh).
  *
  * Determinism: feeding the same observations in the same order yields
  * bit-identical state, and merging the same digests in the same order
@@ -75,37 +76,24 @@ class TDigest
     const std::vector<Centroid> &centroids() const;
 
     /**
-     * Emit as a JSON object in value position:
+     * Emit the exact internal state as a JSON object in value position:
      * `{"compression":δ,"count":n,"min":m,"max":M,
-     *   "centroids":[[mean,weight],...]}`.
-     * Round-trips bit-exactly through TDigest::fromJson (the writer
-     * prints doubles with %.17g).
+     *   "centroids":[[mean,weight],...],"buffer":[[x,weight],...]}`.
+     * Nothing is flushed: a digest flushed at trial K and then fed
+     * trials K..M-1 clusters differently from one fed 0..M-1 straight
+     * through, so shard files and campaign checkpoints
+     * (campaign/shard.hh) carry the flushed centroids AND the pending
+     * buffer verbatim, and resume bit-identically.
      */
     void writeJson(JsonWriter &w) const;
 
-    /** Rebuild from writeJson output (asserts on malformed input). */
-    static TDigest fromJson(const JsonValue &v);
-
     /**
-     * @name Exact-state checkpointing
-     * writeJson() flushes first, which is right for *merging* but
-     * changes the future clustering trajectory: a digest flushed at
-     * trial K and then fed trials K..M-1 clusters differently from
-     * one fed 0..M-1 straight through. Campaign checkpoints that must
-     * resume bit-identically (campaign/checkpoint.hh) therefore
-     * serialize the raw internal state — the flushed centroids AND
-     * the pending buffer, verbatim, with no flush.
+     * Rebuild from writeJson output (doubles print with %.17g, so the
+     * round trip is bit-exact). Returns nullopt on malformed input:
+     * shard files arrive from disk, so this validates instead of
+     * asserting.
      */
-    ///@{
-    /** Emit the exact internal state as a JSON object (no flush). */
-    void writeStateJson(JsonWriter &w) const;
-    /**
-     * Rebuild from writeStateJson output. Returns nullopt on
-     * malformed input (checkpoint payloads arrive from disk, so this
-     * validates instead of asserting).
-     */
-    static std::optional<TDigest> fromStateJson(const JsonValue &v);
-    ///@}
+    static std::optional<TDigest> fromJson(const JsonValue &v);
 
   private:
     /** Sort the buffer into the centroid list and re-cluster. */

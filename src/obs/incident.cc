@@ -340,21 +340,30 @@ IncidentAggregate::writeJson(JsonWriter &w) const
     w.endObject();
 }
 
-IncidentAggregate
+std::optional<IncidentAggregate>
 IncidentAggregate::fromJson(const JsonValue &v)
 {
     IncidentAggregate a;
-    a.trials_ = v.at("trials").asUint();
-    a.incidents_ = v.at("incidents").asUint();
-    a.truncated_ = v.at("truncated").asUint();
-    a.lossIncidents_ = v.at("loss_incidents").asUint();
-    a.reported_ = ExactSum::fromJson(v.at("reported_min"));
-    const JsonValue &causes = v.at("by_cause");
+    const JsonValue *reported = v.find("reported_min");
+    const JsonValue *causes = v.find("by_cause");
+    if (!jsonUint(v, "trials", a.trials_) ||
+        !jsonUint(v, "incidents", a.incidents_) ||
+        !jsonUint(v, "truncated", a.truncated_) ||
+        !jsonUint(v, "loss_incidents", a.lossIncidents_) || !reported ||
+        !causes)
+        return std::nullopt;
+    auto reported_min = ExactSum::fromJson(*reported);
+    if (!reported_min)
+        return std::nullopt;
+    a.reported_ = *reported_min;
     for (std::size_t c = 0; c < kRootCauseCount; ++c) {
-        const JsonValue &e =
-            causes.at(rootCauseName(static_cast<RootCause>(c)));
-        a.byPrimary_[c] = e.at("primary").asUint();
-        a.minutes_[c] = ExactSum::fromJson(e.at("min"));
+        const JsonValue *e =
+            causes->find(rootCauseName(static_cast<RootCause>(c)));
+        const JsonValue *min = e ? e->find("min") : nullptr;
+        auto minutes = min ? ExactSum::fromJson(*min) : std::nullopt;
+        if (!minutes || !jsonUint(*e, "primary", a.byPrimary_[c]))
+            return std::nullopt;
+        a.minutes_[c] = *minutes;
     }
     return a;
 }

@@ -46,6 +46,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "campaign/exact_sum.hh"
@@ -192,8 +193,11 @@ class IncidentAggregate
     /** Emit as a JSON object in value position. */
     void writeJson(JsonWriter &w) const;
 
-    /** Rebuild from writeJson output (asserts on malformed input). */
-    static IncidentAggregate fromJson(const JsonValue &v);
+    /**
+     * Rebuild from writeJson output; nullopt when any member is
+     * missing or mistyped (shard files are untrusted input).
+     */
+    static std::optional<IncidentAggregate> fromJson(const JsonValue &v);
 
   private:
     std::uint64_t trials_ = 0;

@@ -7,7 +7,7 @@
  * sizes (1, 3, 8, 64, and one larger than the campaign, exercising
  * the remainder chunk) x thread counts, and assert equality at every
  * layer a consumer can observe: per-trial AnnualResults, campaign
- * summary JSON (means, CIs, P^2 and t-digest quantiles), shard file
+ * summary JSON (means, CIs, t-digest quantiles), shard file
  * bytes, obs histograms, and incident aggregates. The golden-fixture
  * replays prove the obs-enabled fallback path reproduces the exact
  * committed trace and incident bytes.

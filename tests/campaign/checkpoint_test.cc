@@ -2,8 +2,8 @@
  * @file
  * Campaign checkpoint tests: extending a checkpointed K-trial campaign
  * to M trials must be bit-identical to running M trials fresh — at the
- * summary-JSON layer, at the serialized-checkpoint layer (P² marker
- * state, t-digest centroids AND unflushed buffer, obs deltas), across
+ * summary-JSON layer, at the serialized-checkpoint layer (ExactSum
+ * limbs, t-digest centroids AND unflushed buffer, obs deltas), across
  * mismatched batch sizes and thread counts on either side of the
  * boundary, and through the early-stop rule including the masked
  * budget-boundary stop. The defensive reader must turn every malformed
@@ -232,13 +232,15 @@ TEST(CampaignCheckpointReader, RejectsMalformedDocumentsWithoutAsserting)
     ASSERT_TRUE(readCheckpointJson(good));
 
     // Truncations at every eighth byte: parse errors or missing
-    // members, never a crash.
-    for (std::size_t len = 0; len < good.size(); len += 8)
+    // members, never a crash. (Dropping only the trailing newline
+    // leaves a complete document, so the last byte kept is short of
+    // the closing brace.)
+    for (std::size_t len = 0; len + 1 < good.size(); len += 8)
         EXPECT_FALSE(readCheckpointJson(good.substr(0, len)));
 
     EXPECT_FALSE(readCheckpointJson("{}"));
     EXPECT_FALSE(readCheckpointJson(
-        R"({"schema":"bpsim.campaign.shard","schema_version":1})"));
+        R"({"schema":"bpsim.campaign.checkpoint","schema_version":1})"));
 
     // Field-level corruption that stays valid JSON.
     const auto corrupt = [&good](const std::string &from,
@@ -250,16 +252,23 @@ TEST(CampaignCheckpointReader, RejectsMalformedDocumentsWithoutAsserting)
         return s;
     };
     EXPECT_FALSE(
-        readCheckpointJson(corrupt("\"schema_version\":1", // version bump
+        readCheckpointJson(corrupt("\"schema_version\":2", // version bump
                                    "\"schema_version\":999")));
     EXPECT_FALSE(readCheckpointJson(
         corrupt("\"trials\":16", "\"trials\":16.5"))); // non-integral
     EXPECT_FALSE(readCheckpointJson(
         corrupt("\"trials\":16", "\"trials\":0"))); // empty checkpoint
     EXPECT_FALSE(readCheckpointJson(
-        corrupt("\"m2\":", "\"m2\":-1,\"x\":"))); // negative variance
-    EXPECT_FALSE(readCheckpointJson(
-        corrupt("\"stopped_early\":false", "\"stopped_early\":0")));
+        corrupt("\"sign\":1", "\"sign\":2"))); // not an ExactSum
+
+    // A well-formed shard that does not start at trial 0 is no
+    // checkpoint.
+    std::ostringstream upper;
+    writeShardJson(upper, runAnnualShard(spec, shardOf(kSeed, 8, 1, 2)));
+    ASSERT_TRUE(readShardJson(upper.str()));
+    std::string err;
+    EXPECT_FALSE(readCheckpointJson(upper.str(), &err));
+    EXPECT_NE(err.find("start at 0"), std::string::npos) << err;
 }
 
 } // namespace

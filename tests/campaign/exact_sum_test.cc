@@ -150,16 +150,30 @@ TEST(ExactSum, JsonRoundTripIsBitwise)
     }
     const auto parsed = parseJson(os.str());
     ASSERT_TRUE(parsed.has_value());
-    const ExactSum back = ExactSum::fromJson(*parsed);
-    EXPECT_EQ(back.value(), s.value());
+    const auto back = ExactSum::fromJson(*parsed);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->value(), s.value());
 
     // And the re-serialization is byte-identical (canonical form).
     std::ostringstream os2;
     {
         JsonWriter w(os2);
-        back.writeJson(w);
+        back->writeJson(w);
     }
     EXPECT_EQ(os.str(), os2.str());
+
+    // Malformed documents are rejected, never asserted on: a bad sign,
+    // a digit out of base, and a digit in the top (headroom) limb,
+    // where two restored sums could carry out of the accumulator.
+    for (const char *bad :
+         {R"({"sign":2,"lo":0,"limbs":[1]})",
+          R"({"sign":1,"lo":0,"limbs":[1073741824]})",
+          R"({"sign":1,"lo":72,"limbs":[1073741823]})",
+          R"({"sign":1,"lo":-1,"limbs":[1]})", R"({"sign":1,"lo":0})"}) {
+        const auto doc = parseJson(bad);
+        ASSERT_TRUE(doc.has_value()) << bad;
+        EXPECT_FALSE(ExactSum::fromJson(*doc).has_value()) << bad;
+    }
 }
 
 TEST(ExactSum, ZeroQuery)

@@ -1,76 +1,19 @@
 /**
  * @file
- * Tests for the online campaign statistics: P² quantile sketch,
- * Wilson binomial intervals, and the per-metric aggregate.
+ * Tests for the online campaign statistics: Wilson binomial intervals
+ * and the per-metric aggregate.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "campaign/online_stats.hh"
-#include "sim/random.hh"
 
 namespace bpsim
 {
 namespace
 {
-
-TEST(P2Quantile, ExactForSmallSamples)
-{
-    P2Quantile q(0.5);
-    q.add(3.0);
-    EXPECT_DOUBLE_EQ(q.value(), 3.0);
-    q.add(1.0);
-    EXPECT_DOUBLE_EQ(q.value(), 2.0); // interpolated median of {1, 3}
-    q.add(2.0);
-    EXPECT_DOUBLE_EQ(q.value(), 2.0);
-}
-
-TEST(P2Quantile, MedianOfUniformStream)
-{
-    P2Quantile q(0.5);
-    Rng rng(42);
-    for (int i = 0; i < 100000; ++i)
-        q.add(rng.nextDouble());
-    EXPECT_NEAR(q.value(), 0.5, 0.01);
-}
-
-TEST(P2Quantile, TailQuantilesOfUniformStream)
-{
-    P2Quantile q95(0.95), q99(0.99);
-    Rng rng(7);
-    for (int i = 0; i < 100000; ++i) {
-        const double x = rng.nextDouble();
-        q95.add(x);
-        q99.add(x);
-    }
-    EXPECT_NEAR(q95.value(), 0.95, 0.01);
-    EXPECT_NEAR(q99.value(), 0.99, 0.01);
-}
-
-TEST(P2Quantile, TracksExponentialTail)
-{
-    // Heavy-tailed input: P95 of Exp(mean=10) is -10 ln(0.05) ~= 30.
-    P2Quantile q(0.95);
-    Rng rng(11);
-    for (int i = 0; i < 200000; ++i)
-        q.add(rng.exponential(10.0));
-    EXPECT_NEAR(q.value(), 29.96, 1.0);
-}
-
-TEST(P2Quantile, DeterministicForSameSequence)
-{
-    P2Quantile a(0.95), b(0.95);
-    Rng ra(3), rb(3);
-    for (int i = 0; i < 10000; ++i) {
-        a.add(ra.nextDouble());
-        b.add(rb.nextDouble());
-    }
-    EXPECT_EQ(a.value(), b.value()); // bitwise
-}
 
 TEST(Wilson, BracketsTheObservedFraction)
 {
@@ -109,29 +52,32 @@ TEST(Wilson, NarrowsWithMoreTrials)
     EXPECT_LT(large.hi - large.lo, small.hi - small.lo);
 }
 
-TEST(MetricStats, CombinesMomentsAndQuantiles)
+TEST(MergingMetric, CombinesMomentsAndQuantiles)
 {
-    MetricStats m;
+    MergingMetric m;
     for (int i = 1; i <= 1000; ++i)
         m.add(static_cast<double>(i));
-    EXPECT_EQ(m.summary().count(), 1000u);
-    EXPECT_DOUBLE_EQ(m.summary().mean(), 500.5);
-    EXPECT_DOUBLE_EQ(m.summary().min(), 1.0);
-    EXPECT_DOUBLE_EQ(m.summary().max(), 1000.0);
+    EXPECT_EQ(m.count(), 1000u);
+    EXPECT_DOUBLE_EQ(m.mean(), 500.5);
+    EXPECT_DOUBLE_EQ(m.min(), 1.0);
+    EXPECT_DOUBLE_EQ(m.max(), 1000.0);
     EXPECT_NEAR(m.p50(), 500.5, 15.0);
     EXPECT_NEAR(m.p95(), 950.0, 15.0);
     EXPECT_NEAR(m.p99(), 990.0, 15.0);
 }
 
-TEST(MetricStats, MeanCiHalfWidthMatchesFormula)
+TEST(MergingMetric, MeanCiHalfWidthMatchesFormula)
 {
-    MetricStats m;
+    MergingMetric m;
     for (int i = 0; i < 100; ++i)
         m.add(i % 2 == 0 ? 0.0 : 1.0);
-    const double expect = 1.96 * m.summary().stddev() / 10.0;
-    EXPECT_DOUBLE_EQ(m.meanCiHalfWidth(), expect);
+    // Population stddev 0.5 over n = 100: z * sqrt(0.25 / 100).
+    EXPECT_DOUBLE_EQ(m.stddev(), 0.5);
+    EXPECT_DOUBLE_EQ(m.meanCiHalfWidth(), 1.96 * std::sqrt(0.25 / 100.0));
+    EXPECT_EQ(m.meanCiHalfWidth(),
+              meanCiHalfWidth(100, m.sum().value(), m.sumSq().value()));
 
-    MetricStats one;
+    MergingMetric one;
     one.add(5.0);
     EXPECT_DOUBLE_EQ(one.meanCiHalfWidth(), 0.0);
 }

@@ -4,7 +4,10 @@
  * that merging 1, 2, 7 or 16 shard runs of the same campaign yields
  * bit-identical counts, means, CIs and Wilson intervals, quantiles
  * within the t-digest rank-error budget, an identical early-stop
- * replay, and a byte-stable on-disk format (golden fixture).
+ * replay, and a byte-stable on-disk format (golden fixture). The one
+ * shard reader — shard files and campaign checkpoints alike — must
+ * turn every mutated document into nullopt with a reason, never an
+ * abort.
  */
 
 #include <gtest/gtest.h>
@@ -17,8 +20,11 @@
 #include <vector>
 
 #include "campaign/annual_campaign.hh"
+#include "campaign/checkpoint.hh"
+#include "campaign/json.hh"
 #include "campaign/shard.hh"
 #include "core/backup_config.hh"
+#include "obs/obs.hh"
 #include "sim/logging.hh"
 #include "workload/profile.hh"
 
@@ -225,7 +231,8 @@ TEST(ShardIo, RoundTripIsLossless)
  * every double prints exactly) and a pinned build string — any change
  * to the serialized bytes is a schema change and must bump
  * kShardSchemaVersion plus regenerate the fixture
- * (BPSIM_WRITE_FIXTURES=1 ./shard_test).
+ * (BPSIM_WRITE_FIXTURES=1 ./shard_test, then rename it to the new
+ * version).
  */
 ShardResult
 goldenShard()
@@ -269,7 +276,7 @@ goldenShard()
 TEST(ShardIo, GoldenFileIsByteStable)
 {
     const std::string path =
-        std::string(BPSIM_FIXTURE_DIR) + "/shard_v1.json";
+        std::string(BPSIM_FIXTURE_DIR) + "/shard_v2.json";
     std::ostringstream os;
     writeShardJson(os, goldenShard());
 
@@ -298,11 +305,10 @@ TEST(ShardIo, GoldenFileIsByteStable)
 
 TEST(ShardIo, LegacyFileWithoutIncidentsParsesAndMerges)
 {
-    // Shard files written before the incident-forensics rollup carry
-    // no "incidents" key. They must keep their schema-v1 bytes (the
-    // golden test above pins that), parse back with an empty
-    // aggregate, and merge cleanly with newer shards that do carry
-    // forensics.
+    // Shard files from runs without observability carry no
+    // "incidents" key (the golden test above pins those bytes). They
+    // must parse back with an empty aggregate and merge cleanly with
+    // shards that do carry forensics.
     std::ostringstream os;
     writeShardJson(os, goldenShard());
     const std::string text = os.str();
@@ -363,7 +369,7 @@ TEST(ShardIo, RejectsForeignSchema)
 
     // Future schema version.
     std::string bumped = text;
-    const std::string ver = "\"schema_version\":1";
+    const std::string ver = "\"schema_version\":2";
     const auto ver_at = bumped.find(ver);
     ASSERT_NE(ver_at, std::string::npos);
     bumped.replace(ver_at, ver.size(), "\"schema_version\":999");
@@ -411,6 +417,254 @@ TEST(ShardRun, ThreadCountDoesNotChangeAggregates)
     EXPECT_EQ(a.downtimeMin.variance(), b.downtimeMin.variance());
     EXPECT_EQ(a.downtimeMin.p99(), b.downtimeMin.p99());
     EXPECT_EQ(a.lossFreeTrials, b.lossFreeTrials);
+}
+
+/** The text of the `"name":{...}` member of a flat JSON object. */
+std::string
+memberText(const std::string &doc, const std::string &name)
+{
+    const auto at = doc.find("\"" + name + "\":{");
+    if (at == std::string::npos)
+        return "";
+    return doc.substr(at, doc.find('}', at) + 1 - at);
+}
+
+TEST(ShardMerge, CampaignIsOneShardPlusFinalize)
+{
+    // A campaign and a one-shard merge of the same trials run the same
+    // driver into the same aggregate: every metric object (and the
+    // loss-free interval) must serialize to the same bytes.
+    AnnualCampaignOptions opts;
+    opts.maxTrials = kTrials;
+    opts.seed = kSeed;
+    CampaignJsonOptions jopts;
+    jopts.includeTiming = false;
+    std::ostringstream campaign;
+    writeCampaignJson(campaign, runAnnualCampaign(testSpec(), opts), jopts);
+
+    std::string err;
+    const auto merged = mergeShards(
+        {runAnnualShard(testSpec(), shardOf(kSeed, kTrials, 0, 1))},
+        nullptr, &err);
+    ASSERT_TRUE(merged.has_value()) << err;
+    std::ostringstream shard;
+    writeMergedJson(shard, *merged);
+
+    for (const char *name : {"downtime_min", "losses_per_year", "mean_perf",
+                             "battery_kwh", "worst_gap_min", "loss_free"}) {
+        const std::string want = memberText(campaign.str(), name);
+        ASSERT_FALSE(want.empty()) << name;
+        EXPECT_EQ(memberText(shard.str(), name), want);
+    }
+}
+
+/**
+ * Re-serialize @p v, applying one mutation to the @p target-th object
+ * member in document order (counting in @p seen): drop it, give it a
+ * value of another JSON kind, or rename its key to @p key. The path of
+ * the mutated member lands in @p path.
+ */
+enum class Mutation { None, Drop, Retype, Rename };
+
+void
+emit(JsonWriter &w, const JsonValue &v, std::size_t target, Mutation how,
+     const std::string &key, std::size_t &seen,
+     std::vector<std::string> &trail, std::vector<std::string> &path)
+{
+    switch (v.kind()) {
+    case JsonValue::Kind::Null:
+        w.raw("null");
+        return;
+    case JsonValue::Kind::Bool:
+        w.value(v.asBool());
+        return;
+    case JsonValue::Kind::Number:
+        w.value(v.asDouble());
+        return;
+    case JsonValue::Kind::String:
+        w.value(v.asString());
+        return;
+    case JsonValue::Kind::Array:
+        w.beginArray();
+        for (std::size_t i = 0; i < v.size(); ++i)
+            emit(w, v.item(i), target, how, key, seen, trail, path);
+        w.endArray();
+        return;
+    case JsonValue::Kind::Object:
+        w.beginObject();
+        for (std::size_t i = 0; i < v.size(); ++i) {
+            const auto &[name, member] = v.member(i);
+            trail.push_back(name);
+            if (seen++ == target && how != Mutation::None) {
+                path = trail;
+                if (how == Mutation::Retype) {
+                    w.key(name);
+                    if (member.kind() == JsonValue::Kind::String)
+                        w.value(7);
+                    else
+                        w.value("x");
+                } else if (how == Mutation::Rename) {
+                    w.key(key);
+                    emit(w, member, target, how, key, seen, trail, path);
+                }
+            } else {
+                w.key(name);
+                emit(w, member, target, how, key, seen, trail, path);
+            }
+            trail.pop_back();
+        }
+        w.endObject();
+        return;
+    }
+}
+
+struct Mutated
+{
+    std::string text;
+    std::vector<std::string> path;
+};
+
+Mutated
+mutate(const JsonValue &doc, std::size_t target, Mutation how,
+       const std::string &key = "")
+{
+    std::ostringstream os;
+    JsonWriter w(os);
+    std::size_t seen = 0;
+    std::vector<std::string> trail;
+    Mutated out;
+    emit(w, doc, target, how, key, seen, trail, out.path);
+    out.text = os.str();
+    return out;
+}
+
+/** Members a well-formed document may lack: the obs blocks and the
+ *  entries of the counter/histogram maps. */
+bool
+optionalMember(const std::vector<std::string> &path)
+{
+    const std::string &top = path.front();
+    if (top == "incidents")
+        return path.size() == 1;
+    if (top != "counters" && top != "histograms")
+        return false;
+    return path.size() <= 2 ||
+           (path.size() == 4 && path[2] == "buckets");
+}
+
+/** Run the mutation table over @p good through @p read. */
+template <typename ReadFn>
+void
+expectMutationsRejected(const std::string &good, ReadFn read)
+{
+    std::string err;
+    ASSERT_TRUE(read(good, &err)) << err;
+    const auto doc = parseJson(good);
+    ASSERT_TRUE(doc.has_value());
+    // Round-tripping through the mutator without a mutation is exact.
+    ASSERT_EQ(mutate(*doc, 0, Mutation::None).text + "\n", good);
+
+    std::size_t members = 0, dropped_ok = 0;
+    for (bool more = true; more; ++members) {
+        const Mutated drop = mutate(*doc, members, Mutation::Drop);
+        more = !drop.path.empty();
+        if (!more)
+            break;
+        const std::string where = drop.path.back();
+        err.clear();
+        if (optionalMember(drop.path)) {
+            EXPECT_TRUE(read(drop.text, &err)) << "drop " << where << err;
+            ++dropped_ok;
+        } else {
+            EXPECT_FALSE(read(drop.text, &err)) << "drop " << where;
+            EXPECT_FALSE(err.empty()) << "drop " << where;
+        }
+        const Mutated retyped = mutate(*doc, members, Mutation::Retype);
+        err.clear();
+        EXPECT_FALSE(read(retyped.text, &err)) << "retype " << where;
+        EXPECT_FALSE(err.empty()) << "retype " << where;
+    }
+    EXPECT_GT(members, 100u);
+    EXPECT_GT(dropped_ok, 0u);
+
+    // Non-digit (or out-of-range) histogram bucket keys.
+    std::size_t bucket = 0;
+    for (;; ++bucket) {
+        const auto path = mutate(*doc, bucket, Mutation::Drop).path;
+        ASSERT_FALSE(path.empty()) << "document has no histogram bucket";
+        if (path.size() == 4 && path[0] == "histograms")
+            break;
+    }
+    for (const char *key : {"abc", "", "-1", "0x1", "1e3", "9999999999"}) {
+        err.clear();
+        EXPECT_FALSE(
+            read(mutate(*doc, bucket, Mutation::Rename, key).text, &err))
+            << "bucket key \"" << key << "\"";
+        EXPECT_FALSE(err.empty()) << "bucket key \"" << key << "\"";
+    }
+
+    // Truncation anywhere.
+    for (std::size_t len = 0; len + 1 < good.size(); len += 7) {
+        err.clear();
+        EXPECT_FALSE(read(good.substr(0, len), &err)) << "length " << len;
+        EXPECT_FALSE(err.empty()) << "length " << len;
+    }
+}
+
+/** Arm tracing for one test; restore a clean disabled state after. */
+struct TracingOn
+{
+    TracingOn()
+    {
+        obs::TraceSink::instance().clear();
+        obs::setEnabled(true);
+    }
+    ~TracingOn()
+    {
+        obs::setEnabled(false);
+        obs::TraceSink::instance().clear();
+    }
+};
+
+TEST(ShardIo, MutatedDocumentsAreRejectedWithoutAborting)
+{
+    std::string shard_doc, checkpoint_doc;
+    {
+        // Traced runs, so both documents carry every optional member.
+        const TracingOn tracing;
+        ShardOptions sopts;
+        sopts.checkpointEvery = 2;
+        std::ostringstream os;
+        writeShardJson(os, runAnnualShard(testSpec(),
+                                          shardOf(kSeed, 12, 1, 2), sopts));
+        shard_doc = os.str();
+
+        AnnualCampaignOptions copts;
+        copts.maxTrials = 6;
+        copts.seed = kSeed;
+        std::ostringstream ck;
+        writeCheckpointJson(
+            ck, runResumableCampaign(testSpec(), copts).checkpoint);
+        checkpoint_doc = ck.str();
+    }
+#if BPSIM_OBS_ENABLED
+    for (const std::string *doc : {&shard_doc, &checkpoint_doc}) {
+        EXPECT_NE(doc->find("\"counters\""), std::string::npos);
+        EXPECT_NE(doc->find("\"histograms\""), std::string::npos);
+        EXPECT_NE(doc->find("\"incidents\""), std::string::npos);
+    }
+#else
+    GTEST_SKIP() << "observability compiled out: no obs members to mutate";
+#endif
+
+    expectMutationsRejected(shard_doc, [](const std::string &text,
+                                          std::string *err) {
+        return readShardJson(text, err).has_value();
+    });
+    expectMutationsRejected(checkpoint_doc, [](const std::string &text,
+                                               std::string *err) {
+        return readCheckpointJson(text, err).has_value();
+    });
 }
 
 } // namespace

@@ -269,19 +269,20 @@ TEST(TDigest, JsonRoundTripIsBitwise)
     }
     const auto parsed = parseJson(os.str());
     ASSERT_TRUE(parsed.has_value());
-    const TDigest back = TDigest::fromJson(*parsed);
+    const auto back = TDigest::fromJson(*parsed);
+    ASSERT_TRUE(back.has_value());
 
-    EXPECT_EQ(back.count(), td.count());
-    EXPECT_EQ(back.compression(), td.compression());
-    EXPECT_EQ(back.min(), td.min());
-    EXPECT_EQ(back.max(), td.max());
-    ASSERT_EQ(back.centroids().size(), td.centroids().size());
+    EXPECT_EQ(back->count(), td.count());
+    EXPECT_EQ(back->compression(), td.compression());
+    EXPECT_EQ(back->min(), td.min());
+    EXPECT_EQ(back->max(), td.max());
+    ASSERT_EQ(back->centroids().size(), td.centroids().size());
     for (std::size_t i = 0; i < td.centroids().size(); ++i) {
-        EXPECT_EQ(back.centroids()[i].mean, td.centroids()[i].mean);
-        EXPECT_EQ(back.centroids()[i].weight, td.centroids()[i].weight);
+        EXPECT_EQ(back->centroids()[i].mean, td.centroids()[i].mean);
+        EXPECT_EQ(back->centroids()[i].weight, td.centroids()[i].weight);
     }
     for (const double q : {0.01, 0.5, 0.95, 0.99})
-        EXPECT_EQ(back.quantile(q), td.quantile(q));
+        EXPECT_EQ(back->quantile(q), td.quantile(q));
 }
 
 TEST(TDigest, WeightedAdds)

@@ -294,7 +294,8 @@ TEST(IncidentEngine, AggregateJsonRoundTrips)
     const auto doc = parseJson(first, &err);
     ASSERT_TRUE(doc.has_value()) << err;
     const auto rebuilt = obs::IncidentAggregate::fromJson(*doc);
-    EXPECT_EQ(aggregateJson(rebuilt), first);
+    ASSERT_TRUE(rebuilt.has_value());
+    EXPECT_EQ(aggregateJson(*rebuilt), first);
 }
 
 TEST(IncidentForensics, PerCauseMinutesSumExactlyToTrialTotal)

@@ -2,7 +2,8 @@
  * @file
  * CLI contract tests for the campaign executables: --help exits 0
  * and prints usage, an unknown flag exits nonzero with usage on
- * stderr, and a missing input file names the path in the error.
+ * stderr, a missing input file names the path in the error, and a
+ * malformed shard file is an error, never a crash.
  * Binary locations arrive via compile definitions resolved from
  * $<TARGET_FILE:...> so the tests track the build layout.
  */
@@ -10,8 +11,13 @@
 #include <cstdio>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -135,6 +141,52 @@ TEST(CliContract, MergeMissingInputNamesThePath)
     EXPECT_NE(r.output.find("/nonexistent/shard42.json"),
               std::string::npos)
         << r.output;
+}
+
+TEST(CliContract, MergeMalformedShardExitsOneWithError)
+{
+    const std::string dir =
+        ::testing::TempDir() + "bpsim_cli_" + std::to_string(::getpid());
+    const std::string good = dir + "_good_shard.json";
+    const std::string bad = dir + "_bad_shard.json";
+    // --metrics arms observability, so the shard carries histograms.
+    const RunResult made =
+        run(std::string(BPSIM_CAMPAIGN_MERGE_BIN) +
+            " run --shard 0/1 --trials 3 --seed 5 --metrics " + dir +
+            "_metrics.json --out " + good);
+    ASSERT_EQ(made.exitCode, 0) << made.output;
+    std::ifstream in(good);
+    std::ostringstream text;
+    text << in.rdbuf();
+    const std::string shard = text.str();
+    const auto edited = [&shard](const std::string &from,
+                                 const std::string &to) {
+        std::string s = shard;
+        const auto at = s.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return s.replace(at, from.size(), to);
+    };
+    std::vector<std::pair<const char *, std::string>> cases = {
+        {"missing metrics", edited("\"metrics\":", "\"metricz\":")},
+        {"string trials", edited("\"trials\":3", "\"trials\":\"eight\"")},
+        {"truncated", shard.substr(0, shard.size() / 2)},
+    };
+    // Histograms exist unless observability is compiled out.
+    if (shard.find("\"buckets\":{\"") != std::string::npos)
+        cases.emplace_back("non-digit bucket key",
+                           edited("\"buckets\":{\"",
+                                  "\"buckets\":{\"abc\":1,\""));
+    for (const auto &[what, body] : cases) {
+        std::ofstream(bad) << body;
+        const RunResult r =
+            run(std::string(BPSIM_CAMPAIGN_MERGE_BIN) + " merge " + bad);
+        EXPECT_EQ(r.exitCode, 1) << what << ": " << r.output;
+        EXPECT_NE(r.output.find("error:"), std::string::npos)
+            << what << ": " << r.output;
+    }
+    for (const char *suffix : {"_good_shard.json", "_bad_shard.json",
+                               "_metrics.json"})
+        std::remove((dir + suffix).c_str());
 }
 
 TEST(CliContract, ServerHelpExitsZeroWithUsage)
