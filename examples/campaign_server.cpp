@@ -17,14 +17,17 @@
  */
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
+#include <charconv>
 #include <chrono>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "service/service.hh"
 #include "sim/logging.hh"
@@ -50,8 +53,7 @@ usage(std::FILE *to)
         to,
         "usage: campaign_server [--port N] [--bind ADDR]\n"
         "                       [--port-file FILE] [--cache-entries N]\n"
-        "                       [--cache-dir DIR] [--coalesce on|off]\n"
-        "                       [--ckpt-max-bytes N]\n"
+        "                       [--cache-dir DIR] [--ckpt-max-bytes N]\n"
         "                       [--max-trials N] [--sample-seconds S]\n"
         "                       [--access-log FILE] [--slow-ms N]\n"
         "                       [--request-trace FILE]\n"
@@ -81,8 +83,6 @@ usage(std::FILE *to)
         "  --cache-dir DIR    spill results/checkpoints to DIR and\n"
         "                     reload them after a restart (default "
         "off)\n"
-        "  --coalesce on|off  share one execution across identical\n"
-        "                     concurrent what-ifs (default on)\n"
         "  --ckpt-max-bytes N do not store checkpoints larger than N\n"
         "                     serialized bytes (default 1048576)\n"
         "  --max-trials N     per-query trial budget cap (default "
@@ -113,6 +113,43 @@ usage(std::FILE *to)
     return to == stdout ? 0 : 2;
 }
 
+/**
+ * Parse all of @p val as a number in [@p lo, @p hi] into @p out, or
+ * print "<flag> needs <what>" and return false. Integer types reject
+ * signs, fractions and exponents.
+ */
+template <typename T>
+bool
+parseNumber(const std::string &flag, const char *val, const char *what,
+            std::type_identity_t<T> lo, std::type_identity_t<T> hi, T &out)
+{
+    const char *end = val + std::strlen(val);
+    T v{};
+    const auto [stop, ec] = std::from_chars(val, end, v);
+    if (ec == std::errc() && stop == end && v >= lo && v <= hi) {
+        out = v;
+        return true;
+    }
+    std::fprintf(stderr, "campaign_server: %s needs %s, got \"%s\"\n",
+                 flag.c_str(), what, val);
+    return false;
+}
+
+/** Parse an on|off flag value into @p out, or complain and fail. */
+bool
+parseSwitch(const std::string &flag, const std::string &val, bool &out)
+{
+    if (val == "on" || val == "off") {
+        out = val == "on";
+        return true;
+    }
+    std::fprintf(stderr,
+                 "campaign_server: %s takes \"on\" or \"off\", got "
+                 "\"%s\"\n",
+                 flag.c_str(), val.c_str());
+    return false;
+}
+
 } // namespace
 
 int
@@ -130,8 +167,9 @@ main(int argc, char **argv)
         if (arg == "--help" || arg == "-h") {
             return usage(stdout);
         } else if (arg == "--port" && val) {
-            opts.http.port =
-                static_cast<std::uint16_t>(std::atoi(val));
+            if (!parseNumber(arg, val, "a port number (0-65535)", 0, 65535,
+                             opts.http.port))
+                return usage(stderr);
             ++i;
         } else if (arg == "--bind" && val) {
             opts.http.bindAddress = val;
@@ -140,112 +178,62 @@ main(int argc, char **argv)
             port_file = val;
             ++i;
         } else if (arg == "--cache-entries" && val) {
-            opts.cacheEntries =
-                static_cast<std::size_t>(std::strtoull(val, nullptr, 10));
+            if (!parseNumber(arg, val, "a positive integer", 1, SIZE_MAX,
+                             opts.cacheEntries))
+                return usage(stderr);
             ++i;
         } else if (arg == "--cache-dir" && val) {
             opts.cacheDir = val;
             ++i;
-        } else if (arg == "--coalesce" && val) {
-            const std::string v = val;
-            if (v == "on") {
-                opts.coalesce = true;
-            } else if (v == "off") {
-                opts.coalesce = false;
-            } else {
-                std::fprintf(stderr, "campaign_server: --coalesce "
-                                     "takes \"on\" or \"off\", got "
-                                     "\"%s\"\n",
-                             v.c_str());
-                return usage(stderr);
-            }
-            ++i;
         } else if (arg == "--ckpt-max-bytes" && val) {
-            opts.checkpointMaxBytes =
-                static_cast<std::size_t>(std::strtoull(val, nullptr, 10));
+            if (!parseNumber(arg, val, "a non-negative integer", 0,
+                             SIZE_MAX, opts.checkpointMaxBytes))
+                return usage(stderr);
             ++i;
         } else if (arg == "--max-trials" && val) {
-            opts.limits.maxTrials = std::strtoull(val, nullptr, 10);
+            if (!parseNumber(arg, val, "a positive integer", 1, UINT64_MAX,
+                             opts.limits.maxTrials))
+                return usage(stderr);
             ++i;
         } else if (arg == "--sample-seconds" && val) {
-            sample_seconds = std::atof(val);
+            if (!parseNumber(arg, val,
+                             "a non-negative number of seconds (at most "
+                             "1e9)",
+                             0.0, 1e9, sample_seconds))
+                return usage(stderr);
             ++i;
         } else if (arg == "--access-log" && val) {
             opts.reqobs.accessLogPath = val;
             ++i;
         } else if (arg == "--slow-ms" && val) {
-            char *end = nullptr;
-            const unsigned long long v = std::strtoull(val, &end, 10);
-            if (*val == '\0' || *val == '-' || end == val ||
-                *end != '\0') {
-                std::fprintf(stderr,
-                             "campaign_server: --slow-ms needs a "
-                             "non-negative integer, got \"%s\"\n",
-                             val);
+            if (!parseNumber(arg, val, "a non-negative integer", 0,
+                             UINT64_MAX, opts.reqobs.slowMs))
                 return usage(stderr);
-            }
-            opts.reqobs.slowMs = v;
             ++i;
         } else if (arg == "--request-trace" && val) {
             request_trace = val;
             ++i;
         } else if (arg == "--request-obs" && val) {
-            const std::string v = val;
-            if (v == "on") {
-                opts.reqobs.enabled = true;
-            } else if (v == "off") {
-                opts.reqobs.enabled = false;
-            } else {
-                std::fprintf(stderr, "campaign_server: --request-obs "
-                                     "takes \"on\" or \"off\", got "
-                                     "\"%s\"\n",
-                             v.c_str());
+            if (!parseSwitch(arg, val, opts.reqobs.enabled))
                 return usage(stderr);
-            }
             ++i;
         } else if (arg == "--history" && val) {
-            const std::string v = val;
-            if (v == "on") {
-                opts.history.enabled = true;
-            } else if (v == "off") {
-                opts.history.enabled = false;
-            } else {
-                std::fprintf(stderr, "campaign_server: --history "
-                                     "takes \"on\" or \"off\", got "
-                                     "\"%s\"\n",
-                             v.c_str());
+            if (!parseSwitch(arg, val, opts.history.enabled))
                 return usage(stderr);
-            }
             ++i;
-        } else if (arg == "--history-cadence" && val) {
-            char *end = nullptr;
-            const double v = std::strtod(val, &end);
-            if (*val == '\0' || end == val || *end != '\0' ||
-                !(v > 0.0)) {
-                std::fprintf(stderr,
-                             "campaign_server: --history-cadence "
-                             "needs a positive number of seconds, "
-                             "got \"%s\"\n",
-                             val);
+        } else if ((arg == "--history-cadence" ||
+                    arg == "--history-retention") &&
+                   val) {
+            std::uint64_t &ns = arg == "--history-cadence"
+                                    ? opts.history.cadenceNs
+                                    : opts.history.retentionNs;
+            double seconds = 0.0;
+            if (!parseNumber(arg, val,
+                             "a positive number of seconds (at most 1e9)",
+                             std::numeric_limits<double>::min(), 1e9,
+                             seconds))
                 return usage(stderr);
-            }
-            opts.history.cadenceNs =
-                static_cast<std::uint64_t>(v * 1e9);
-            ++i;
-        } else if (arg == "--history-retention" && val) {
-            char *end = nullptr;
-            const double v = std::strtod(val, &end);
-            if (*val == '\0' || end == val || *end != '\0' ||
-                !(v > 0.0)) {
-                std::fprintf(stderr,
-                             "campaign_server: --history-retention "
-                             "needs a positive number of seconds, "
-                             "got \"%s\"\n",
-                             val);
-                return usage(stderr);
-            }
-            opts.history.retentionNs =
-                static_cast<std::uint64_t>(v * 1e9);
+            ns = static_cast<std::uint64_t>(seconds * 1e9);
             ++i;
         } else if (arg == "--no-alerts") {
             opts.evaluateAlerts = false;

@@ -12,10 +12,10 @@
  *     +-10% or +-1 min/yr, whichever is looser);
  *   - progress callbacks, streamed as trials complete in order;
  *   - writeCampaignJson() / writeCampaignCsv() exports per scenario;
- *   - per-scenario observability deltas (counters + histograms
- *     snapshot/subtracted around each campaign, so one scenario's
- *     metrics never bleed into the next) and, with --sample, signal
- *     time series rendered as Perfetto counter tracks.
+ *   - per-scenario observability evidence (withObsDeltas() brackets
+ *     each campaign, so one scenario's metrics never bleed into the
+ *     next) and, with --sample, signal time series rendered as
+ *     Perfetto counter tracks.
  *
  * Build and run:
  *     cmake -B build -G Ninja && cmake --build build
@@ -58,27 +58,14 @@ standingDefense(const BackupConfigSpec &config)
 constexpr std::size_t kSamplePointsPerChannel = 512;
 
 /**
- * Trials per scenario whose signal lanes reach the trace. The sweep
- * runs hundreds of trials per scenario; exporting a counter lane for
- * every (trial, signal) pair would produce a multi-gigabyte trace no
- * viewer can load, and a handful of representative years is what a
- * human actually inspects.
- */
-constexpr std::uint64_t kSampledTrialsPerConfig = 4;
-
-/**
  * Write one scenario's observability delta — the counters and
- * histogram buckets accumulated by THIS campaign only, obtained by
- * snapshotting the process-wide registry around the run and
- * subtracting. Without the subtraction, scenario N's file would
- * contain the running totals of scenarios 0..N (the cross-config
- * bleed this example used to have).
+ * histogram buckets accumulated by THIS campaign only. Running totals
+ * of the process-wide registry would carry scenarios 0..N into
+ * scenario N's file.
  */
 void
 writeScenarioMetrics(const std::string &path, const std::string &config,
-                     const std::map<std::string, std::uint64_t> &counters,
-                     const std::map<std::string, obs::HistogramSnapshot>
-                         &histograms)
+                     const ObsEvidence &evidence)
 {
     std::ofstream os(path);
     JsonWriter w(os);
@@ -87,11 +74,11 @@ writeScenarioMetrics(const std::string &path, const std::string &config,
     w.field("seed", "2014");
     w.field("config", config);
     w.key("counters").beginObject();
-    for (const auto &[name, v] : counters)
+    for (const auto &[name, v] : evidence.counters)
         w.field(name, v);
     w.endObject();
     w.key("histograms").beginObject();
-    for (const auto &[name, h] : histograms) {
+    for (const auto &[name, h] : evidence.histograms) {
         w.key(name).beginObject();
         w.field("count", h.count());
         w.field("sum", h.sum());
@@ -104,45 +91,32 @@ writeScenarioMetrics(const std::string &path, const std::string &config,
     os << '\n';
 }
 
-/**
- * Drain the sample sink, keeping only the first
- * kSampledTrialsPerConfig trials. The filter bounds sweep memory: a
- * year at hourly cadence is ~8760 samples per signal per trial, and
- * the sweep runs hundreds of trials.
- */
-std::vector<obs::SignalSample>
-drainScenarioSamples()
+/** One channel of @p store, LTTB-downsampled to bound trace size. */
+std::vector<obs::SeriesPoint>
+downsampledChannel(const obs::TimeSeriesStore &store,
+                   const obs::TimeSeriesStore::Channel &ch)
 {
-    auto rows = obs::TimeSeriesSink::instance().drain();
-    rows.erase(std::remove_if(rows.begin(), rows.end(),
-                              [](const obs::SignalSample &r) {
-                                  return r.trial >=
-                                         kSampledTrialsPerConfig;
-                              }),
-               rows.end());
-    return rows;
+    std::vector<obs::SeriesPoint> pts;
+    pts.reserve(ch.end - ch.begin);
+    for (std::size_t i = ch.begin; i < ch.end; ++i)
+        pts.push_back({store.times()[i], store.values()[i]});
+    return obs::lttb(pts, kSamplePointsPerChannel);
 }
 
 /**
  * Shift this scenario's sampled trial ids by @p trial_base (so the
  * combined trace keeps one lane set per simulated year across
- * scenarios) and append a per-channel LTTB-downsampled copy to
- * @p out. The downsample bounds trace size.
+ * scenarios) and append a downsampled copy to @p out.
  */
 void
 collectSamples(const obs::TimeSeriesStore &store,
                std::uint64_t trial_base,
                std::vector<obs::SignalSample> &out)
 {
-    for (const auto &ch : store.channels()) {
-        std::vector<obs::SeriesPoint> pts;
-        pts.reserve(ch.end - ch.begin);
-        for (std::size_t i = ch.begin; i < ch.end; ++i)
-            pts.push_back({store.times()[i], store.values()[i]});
-        for (const auto &p : obs::lttb(pts, kSamplePointsPerChannel))
+    for (const auto &ch : store.channels())
+        for (const auto &p : downsampledChannel(store, ch))
             out.push_back({ch.trial + trial_base, p.t, ch.signal,
                            p.value});
-    }
 }
 
 int
@@ -276,14 +250,9 @@ main(int argc, char **argv)
                          p.stopped ? " (early stop)" : "");
         };
 
-        // Registry snapshots bracketing the run: the difference is
-        // exactly this scenario's contribution.
-        const auto counters_before =
-            obs::Registry::global().counterSnapshot();
-        const auto histograms_before =
-            obs::Registry::global().histogramSnapshot();
-
-        const auto s = runAnnualCampaign(spec, opts);
+        AnnualCampaignSummary s;
+        ObsEvidence evidence =
+            withObsDeltas([&] { s = runAnnualCampaign(spec, opts); });
         std::fprintf(stderr, "%*s\r", 60, ""); // clear the progress line
         std::printf("%-20s %6llu%s %16.1f %10.1f %8.0f%% [%2.0f,%3.0f] "
                     "%8.0f\n",
@@ -304,18 +273,15 @@ main(int argc, char **argv)
         writeCampaignCsv(csv, s);
 
         if (obs::enabled()) {
-            writeScenarioMetrics(
-                stem + "_metrics.json", config.name,
-                obs::subtractCounters(
-                    obs::Registry::global().counterSnapshot(),
-                    counters_before),
-                obs::subtractHistograms(
-                    obs::Registry::global().histogramSnapshot(),
-                    histograms_before));
+            writeScenarioMetrics(stem + "_metrics.json", config.name,
+                                 evidence);
 
-            auto events = obs::TraceSink::instance().drain();
+            // The bracket leaves the events in the sink; it already
+            // holds this scenario's copy.
+            obs::TraceSink::instance().clear();
+            auto &events = evidence.events;
             const auto store = obs::TimeSeriesStore::fromSamples(
-                drainScenarioSamples());
+                obs::drainSampledTrials(0));
 
             // Forensics run on the raw events (trial id == simulated
             // year), before the combined-trace id shift below.
@@ -329,22 +295,12 @@ main(int argc, char **argv)
                 rs.lossFreeFraction = s.lossFree.fraction;
                 rs.lossFreeLo = s.lossFree.lo;
                 rs.lossFreeHi = s.lossFree.hi;
-                rs.forensics = obs::buildIncidentReport(events);
+                rs.forensics = std::move(evidence.incidents);
                 rs.health =
                     obs::checkHealth(events, &store, &rs.forensics);
-                for (const auto &ch : store.channels()) {
-                    obs::ReportLane lane;
-                    lane.trial = ch.trial;
-                    lane.signal = ch.signal;
-                    std::vector<obs::SeriesPoint> pts;
-                    pts.reserve(ch.end - ch.begin);
-                    for (std::size_t i = ch.begin; i < ch.end; ++i)
-                        pts.push_back(
-                            {store.times()[i], store.values()[i]});
-                    lane.points =
-                        obs::lttb(pts, kSamplePointsPerChannel);
-                    rs.lanes.push_back(std::move(lane));
-                }
+                for (const auto &ch : store.channels())
+                    rs.lanes.push_back({ch.trial, ch.signal,
+                                        downsampledChannel(store, ch)});
                 report.scenarios.push_back(std::move(rs));
             }
 

@@ -8,7 +8,8 @@
 # spans), then shut down gracefully and require a clean exit. A second
 # phase starts the server with --cache-dir, kills it with SIGKILL,
 # restarts it on the same directory, and requires the warm answer from
-# disk plus an incremental resume from the spilled checkpoint.
+# disk plus an incremental resume from the spilled checkpoint. A third
+# phase requires a cache hit while a long miss holds the campaign lock.
 #
 # Usage: scripts/service_smoke.sh [path/to/campaign_server]
 # (defaults to build/examples/campaign_server). CI runs this against
@@ -240,4 +241,35 @@ RC=0
 wait "$SERVER_PID" || RC=$?
 SERVER_PID=
 [ "$RC" = 0 ] || fail "restarted server exited $RC after shutdown"
+
+# --- Phase 3: a hit never waits on a running campaign ----------------
+# Warm one question, start a multi-second miss for another, and ask
+# the warm one again while the miss holds the campaign lock: it must
+# come back a hit before the miss's curl finishes. The server is then
+# SIGKILLed so the long campaign never delays the script.
+rm -f "$WORK/port"
+"$SERVER" --port 0 --port-file "$WORK/port" --no-alerts &
+SERVER_PID=$!
+wait_for_port
+curl -sSf -o "$WORK/r6" -XPOST "$BASE/v1/whatif" -d "$BODY"
+SLOW_BODY=${BODY/\"trials\":40/\"trials\":100000}
+curl -s -o /dev/null -XPOST "$BASE/v1/whatif" -d "$SLOW_BODY" &
+MISS_PID=$!
+for _ in $(seq 1 100); do
+    curl -sSf "$BASE/v1/status" | grep -q '"flight_depth":1' && break
+    sleep 0.05
+done
+curl -sSf "$BASE/v1/status" | grep -q '"flight_depth":1' \
+    || fail "slow miss never went in flight"
+curl -sSf -D "$WORK/h7" -o "$WORK/r7" -XPOST "$BASE/v1/whatif" -d "$BODY"
+kill -0 "$MISS_PID" 2>/dev/null \
+    || fail "slow miss ended before the warm query returned"
+grep -qi '^x-bpsim-cache: hit' "$WORK/h7" \
+    || fail "warm query during a campaign not a hit"
+cmp -s "$WORK/r6" "$WORK/r7" || fail "hit during a campaign differs"
+echo "service_smoke: warm query hit while a campaign ran"
+kill -9 "$SERVER_PID" 2>/dev/null
+wait "$SERVER_PID" 2>/dev/null || true
+SERVER_PID=
+wait "$MISS_PID" 2>/dev/null || true
 echo "service_smoke: PASS"

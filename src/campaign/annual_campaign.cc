@@ -104,10 +104,8 @@ runTrials(TrialAggregate &agg, const TrialSource &src, std::uint64_t seed,
             }
             return true;
         };
-    CampaignOptions copts;
-    copts.threads = threads;
     runCampaign<std::vector<AnnualResult>>((hi - lo + batch - 1) / batch,
-                                           body, consume, copts);
+                                           body, consume, {threads});
     return stopped;
 }
 
@@ -181,35 +179,13 @@ continueCampaign(const TrialSource &src, const AnnualCampaignOptions &opts,
     return out;
 }
 
-/**
- * Run @p run and add the obs activity it recorded to @p out: counter
- * and histogram deltas by snapshot subtraction, and the incident
- * rollup of the trace events it emitted. The trace is bookmarked, not
- * drained, so the caller's own drain()-based export still sees the
- * events. Must not overlap other obs-recording work (the what-if
- * server serializes campaigns for this reason).
- */
-template <typename Fn>
+/** Fold one run's obs evidence into a shard or checkpoint. */
 void
-withObsDeltas(ShardResult &out, Fn &&run)
+mergeEvidence(ShardResult &into, const ObsEvidence &e)
 {
-    auto &registry = obs::Registry::global();
-    const auto counters_before = registry.counterSnapshot();
-    const auto histograms_before = registry.histogramSnapshot();
-    const auto trace_mark = obs::TraceSink::instance().mark();
-    run();
-    obs::mergeCounters(out.counters,
-                       obs::subtractCounters(registry.counterSnapshot(),
-                                             counters_before));
-    obs::mergeHistograms(
-        out.histograms,
-        obs::subtractHistograms(registry.histogramSnapshot(),
-                                histograms_before));
-    if (obs::enabled())
-        out.incidents.merge(
-            obs::buildIncidentReport(
-                obs::TraceSink::instance().eventsSince(trace_mark))
-                .aggregate);
+    obs::mergeCounters(into.counters, e.counters);
+    obs::mergeHistograms(into.histograms, e.histograms);
+    into.incidents.merge(e.incidents.aggregate);
 }
 
 } // namespace
@@ -258,6 +234,26 @@ TrialAggregate::merge(const TrialAggregate &other)
     lossFreeTrials += other.lossFreeTrials;
 }
 
+ObsEvidence
+withObsDeltas(const std::function<void()> &run)
+{
+    auto &registry = obs::Registry::global();
+    const auto counters_before = registry.counterSnapshot();
+    const auto histograms_before = registry.histogramSnapshot();
+    const auto trace_mark = obs::TraceSink::instance().mark();
+    run();
+    ObsEvidence e;
+    e.counters = obs::subtractCounters(registry.counterSnapshot(),
+                                       counters_before);
+    e.histograms = obs::subtractHistograms(registry.histogramSnapshot(),
+                                           histograms_before);
+    if (obs::enabled()) {
+        e.events = obs::TraceSink::instance().eventsSince(trace_mark);
+        e.incidents = obs::buildIncidentReport(e.events);
+    }
+    return e;
+}
+
 AnnualCampaignSummary
 runAnnualCampaign(const AnnualTrialFn &trial,
                   const AnnualCampaignOptions &opts)
@@ -288,10 +284,11 @@ runResumableCampaign(const AnnualCampaignSpec &spec,
     if (from)
         ckpt = *from;
     const std::uint64_t start = ckpt.trials;
-    withObsDeltas(ckpt, [&] {
+    out.evidence = withObsDeltas([&] {
         out.summary =
             continueCampaign(scenarioSource(spec, opts.batch), opts, ckpt);
     });
+    mergeEvidence(ckpt, out.evidence);
     static_cast<TrialAggregate &>(ckpt) = out.summary;
     ckpt.spec = shardOf(opts.seed, ckpt.trials, 0, 1);
     ckpt.build = buildId();
@@ -314,7 +311,7 @@ runAnnualShard(const AnnualCampaignSpec &scenario, const ShardSpec &spec,
     ShardResult out;
     out.spec = spec;
     out.build = buildId();
-    withObsDeltas(out, [&] {
+    const ObsEvidence evidence = withObsDeltas([&] {
         // Shards never stop early: the stop rule is the merging
         // coordinator's call, replayed from these prefix checkpoints.
         runTrials(out, scenarioSource(scenario, opts.batch), spec.seed,
@@ -328,6 +325,7 @@ runAnnualShard(const AnnualCampaignSpec &scenario, const ShardSpec &spec,
                       return true;
                   });
     });
+    mergeEvidence(out, evidence);
     const std::chrono::duration<double> wall =
         std::chrono::steady_clock::now() - t0;
     out.wallSeconds = wall.count();

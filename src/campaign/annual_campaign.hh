@@ -24,16 +24,31 @@
 #define BPSIM_CAMPAIGN_ANNUAL_CAMPAIGN_HH
 
 #include <functional>
+#include <map>
 #include <ostream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "campaign/online_stats.hh"
 #include "campaign/runner.hh"
 #include "core/annual.hh"
+#include "obs/histogram.hh"
+#include "obs/incident.hh"
 
 namespace bpsim
 {
+
+/** Snapshot handed to progress callbacks (in trial order). */
+struct CampaignProgress
+{
+    /** Trials aggregated so far. */
+    std::uint64_t consumed = 0;
+    /** Planned campaign size. */
+    std::uint64_t total = 0;
+    /** True when the early-stop rule has fired. */
+    bool stopped = false;
+};
 
 /** The scenario one annual campaign holds fixed across its trials. */
 struct AnnualCampaignSpec
@@ -214,6 +229,29 @@ struct CampaignJsonOptions
      */
     bool includeTiming = true;
 };
+
+/** The obs activity one bracketed run recorded (see withObsDeltas()). */
+struct ObsEvidence
+{
+    /** Counter deltas of the process-wide registry. */
+    std::map<std::string, std::uint64_t> counters;
+    /** Histogram (bucket) deltas of the process-wide registry. */
+    std::map<std::string, obs::HistogramSnapshot> histograms;
+    /** Trace events emitted during the run, sorted by (trial, seq). */
+    std::vector<obs::TraceEvent> events;
+    /** The incident engine's report over those events. */
+    obs::IncidentReport incidents;
+};
+
+/**
+ * Run @p run and return the obs evidence it recorded: registry
+ * counter and histogram deltas by snapshot subtraction, and the trace
+ * events since a bookmark with their incident report. Non-consuming:
+ * the events and samples stay in their sinks for the caller's own
+ * drain()-based export. The deltas cover everything the process
+ * recorded meanwhile, so no other campaign may run concurrently.
+ */
+ObsEvidence withObsDeltas(const std::function<void()> &run);
 
 /** JSON export (one object; campaign + per-metric stats). */
 void writeCampaignJson(std::ostream &os, const AnnualCampaignSummary &s,

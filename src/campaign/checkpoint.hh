@@ -52,6 +52,8 @@ struct ResumableOutcome
     CampaignCheckpoint checkpoint;
     /** Trials actually simulated by this call (0 on a pure replay). */
     std::uint64_t executedTrials = 0;
+    /** This call's obs evidence (its deltas alone, not @p from's). */
+    ObsEvidence evidence;
 };
 
 /**
@@ -66,10 +68,8 @@ struct ResumableOutcome
  * boundary — @p from stopped early, or its budget was exactly its
  * stopping point, which masks the stop — no trials run and the summary
  * is the replayed fresh-run outcome (planned rewritten to
- * opts.maxTrials). Must not run concurrently with other obs-recording
- * work: the delta bracket snapshots the global registry, exactly like
- * shard execution (the what-if server serializes campaigns for the
- * same reason).
+ * opts.maxTrials). Must not run concurrently with another campaign:
+ * withObsDeltas() brackets the run, exactly like shard execution.
  */
 ResumableOutcome runResumableCampaign(const AnnualCampaignSpec &spec,
                                       const AnnualCampaignOptions &opts,

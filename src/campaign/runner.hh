@@ -7,7 +7,7 @@
  * work-stealing thread pool and funnels the results through a reorder
  * buffer so the consumer sees them in strict trial-id order — which
  * makes every aggregate (exact sums, t-digests, early-stop
- * decisions, progress sequences) bit-identical for any thread count
+ * decisions) bit-identical for any thread count
  * and any scheduling, provided each trial is a pure function of its
  * id (derive per-trial randomness as `Rng::stream(seed, id)`, never
  * from shared state).
@@ -34,17 +34,6 @@
 namespace bpsim
 {
 
-/** Snapshot handed to progress callbacks (in trial order). */
-struct CampaignProgress
-{
-    /** Trials aggregated so far. */
-    std::uint64_t consumed = 0;
-    /** Planned campaign size. */
-    std::uint64_t total = 0;
-    /** True when the early-stop rule has fired. */
-    bool stopped = false;
-};
-
 /** Execution knobs common to every campaign. */
 struct CampaignOptions
 {
@@ -54,10 +43,6 @@ struct CampaignOptions
      * size. Results are identical either way.
      */
     int threads = 0;
-    /** Invoke `progress` every this many consumed trials (0 = off). */
-    std::uint64_t progressEvery = 0;
-    /** Serialized, in-order progress callback. */
-    std::function<void(const CampaignProgress &)> progress;
 };
 
 /** What a campaign actually executed. */
@@ -101,17 +86,10 @@ runCampaign(std::uint64_t trials,
              it = buffer.find(next)) {
             Result ready = std::move(it->second);
             buffer.erase(it);
-            const std::uint64_t ready_id = next++;
-            const bool more = consume(ready_id, std::move(ready));
-            if (!more)
+            if (!consume(next++, std::move(ready))) {
                 stop.store(true, std::memory_order_relaxed);
-            if (opts.progress && opts.progressEvery != 0 &&
-                (ready_id + 1 == trials || !more ||
-                 (ready_id + 1) % opts.progressEvery == 0)) {
-                opts.progress({ready_id + 1, trials, !more});
-            }
-            if (!more)
                 break;
+            }
         }
     };
 

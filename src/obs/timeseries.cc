@@ -140,6 +140,16 @@ TimeSeriesSink::clear()
     }
 }
 
+std::vector<SignalSample>
+drainSampledTrials(std::uint64_t first)
+{
+    auto rows = TimeSeriesSink::instance().drain();
+    std::erase_if(rows, [first](const SignalSample &r) {
+        return r.trial < first || r.trial - first >= kSampledTrials;
+    });
+    return rows;
+}
+
 TimeSeriesStore
 TimeSeriesStore::fromSamples(std::vector<SignalSample> rows)
 {

@@ -121,6 +121,13 @@ class TimeSeriesSink
     TimeSeriesSink() = default;
 };
 
+/** Trials per campaign whose sampled signals are kept (a year at hourly
+ *  cadence is ~8.8k samples per signal per trial). */
+inline constexpr std::uint64_t kSampledTrials = 4;
+
+/** Drain the sample sink, keeping trials [first, first + kSampledTrials). */
+std::vector<SignalSample> drainSampledTrials(std::uint64_t first);
+
 /**
  * Columnar (struct-of-arrays) sample store with a channel index.
  * Rows are held sorted by (trial, signal, t), so each channel — one

@@ -1,6 +1,5 @@
 #include "service/service.hh"
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -206,9 +205,6 @@ CampaignService::handleWhatIf(const HttpRequest &req,
                       static_cast<unsigned long long>(fnv1a64(key)));
     }
 
-    if (!opts_.coalesce)
-        return computeWhatIf(*request, key, keyhex, track);
-
     // Single-flight: the first request for a key leads and executes;
     // identical concurrent requests park on the flight and copy its
     // response. Parse errors never get here (no key, nothing to
@@ -249,8 +245,6 @@ CampaignService::handleWhatIf(const HttpRequest &req,
         return resp;
     }
 
-    if (opts_.testBeforeCampaign)
-        opts_.testBeforeCampaign();
     const HttpResponse resp = computeWhatIf(*request, key, keyhex, track);
     {
         std::lock_guard<std::mutex> lk(inflight_m_);
@@ -273,17 +267,21 @@ CampaignService::computeWhatIf(const WhatIfRequest &request,
     HttpResponse resp;
     resp.headers.emplace_back("X-Bpsim-Key", keyhex);
 
-    std::lock_guard<std::mutex> lk(campaign_m_);
+    const auto hit = [&](const char *tier, std::string body) {
+        track.setCache("hit");
+        track.setTier(tier);
+        resp.headers.emplace_back("X-Bpsim-Cache", "hit");
+        resp.headers.emplace_back("X-Bpsim-Cache-Tier", tier);
+        resp.body = std::move(body);
+        return std::move(resp);
+    };
+    // The result tiers need no campaign lock: this request leads the
+    // only flight for its key, so it alone looks the key up and
+    // counts one hit or miss, and a hit never waits on a campaign.
     {
         const auto s = track.span(RequestPhase::CacheMem);
-        if (auto hit = cache_.get(key)) {
-            track.setCache("hit");
-            track.setTier("memory");
-            resp.headers.emplace_back("X-Bpsim-Cache", "hit");
-            resp.headers.emplace_back("X-Bpsim-Cache-Tier", "memory");
-            resp.body = std::move(*hit);
-            return resp;
-        }
+        if (auto cached = cache_.get(key))
+            return hit("memory", std::move(*cached));
     }
     {
         const auto s = track.span(RequestPhase::CacheDisk);
@@ -291,16 +289,14 @@ CampaignService::computeWhatIf(const WhatIfRequest &request,
             // Warm restart: promote the spilled result so the next
             // hit is a map lookup again.
             cache_.put(key, *spilled);
-            track.setCache("hit");
-            track.setTier("disk");
-            resp.headers.emplace_back("X-Bpsim-Cache", "hit");
-            resp.headers.emplace_back("X-Bpsim-Cache-Tier", "disk");
-            resp.body = std::move(*spilled);
-            return resp;
+            return hit("disk", std::move(*spilled));
         }
     }
     track.setCache("miss");
 
+    std::lock_guard<std::mutex> lk(campaign_m_);
+    if (opts_.testBeforeCampaign)
+        opts_.testBeforeCampaign();
     // A full miss still need not simulate from trial 0: a checkpoint
     // stored under the budget-wildcarded base key covers any earlier
     // budget for this exact scenario.
@@ -317,22 +313,18 @@ CampaignService::computeWhatIf(const WhatIfRequest &request,
     }
 
     const bool with_alerts = opts_.evaluateAlerts && BPSIM_OBS_ON();
-    std::map<std::string, std::uint64_t> counters_before;
     if (with_alerts) {
-        // Discard sink residue so the alert evidence is exactly this
+        // Discard sink residue so the sampled signals are exactly this
         // campaign's; safe here because campaign_m_ guarantees no
         // trials are in flight.
         obs::TraceSink::instance().clear();
         obs::TimeSeriesSink::instance().clear();
-        counters_before = obs::Registry::global().counterSnapshot();
     }
 
-    std::optional<WhatIfExecution> run;
-    {
+    WhatIfExecution ex = [&] {
         const auto s = track.span(RequestPhase::Campaign);
-        run = executeWhatIf(request, from ? &*from : nullptr);
-    }
-    const WhatIfExecution &ex = *run;
+        return executeWhatIf(request, from ? &*from : nullptr);
+    }();
     obs::Registry::global().counter("service.whatif.campaigns").add(1);
     resp.headers.emplace_back("X-Bpsim-Cache", "miss");
     if (ex.resumed) {
@@ -353,6 +345,14 @@ CampaignService::computeWhatIf(const WhatIfRequest &request,
         // deeper trajectory another request paid for.
         if (!from ||
             ex.checkpoint.trials > from->trials) {
+            // Requests served while the campaign ran recorded their
+            // service.* metrics into the same registry; no other
+            // campaign runs under the lock, so the rest is this one's.
+            const auto foreign = [](const auto &kv) {
+                return kv.first.starts_with("service.");
+            };
+            std::erase_if(ex.checkpoint.counters, foreign);
+            std::erase_if(ex.checkpoint.histograms, foreign);
             std::ostringstream ck;
             writeCheckpointJson(ck, ex.checkpoint);
             std::string text = ck.str();
@@ -369,27 +369,14 @@ CampaignService::computeWhatIf(const WhatIfRequest &request,
 
     if (with_alerts) {
         const auto sp = track.span(RequestPhase::Alerts);
-        const auto events = obs::TraceSink::instance().drain();
-        auto samples = obs::TimeSeriesSink::instance().drain();
+        obs::TraceSink::instance().clear();
         // The warm-up sample window is relative to the trials this
         // call simulated: a resumed campaign's first fresh trial is
         // ex.startTrial, not 0.
-        const std::uint64_t start = ex.startTrial;
-        samples.erase(
-            std::remove_if(samples.begin(), samples.end(),
-                           [this, start](const obs::SignalSample &s) {
-                               return s.trial < start ||
-                                      s.trial - start >=
-                                          opts_.alertSampleTrials;
-                           }),
-            samples.end());
-        const auto store =
-            obs::TimeSeriesStore::fromSamples(std::move(samples));
-        const auto incidents = obs::buildIncidentReport(events);
-        const auto counters_delta = obs::subtractCounters(
-            obs::Registry::global().counterSnapshot(), counters_before);
-        const auto fired =
-            alerts_.evaluate(&store, &counters_delta, &incidents);
+        const auto store = obs::TimeSeriesStore::fromSamples(
+            obs::drainSampledTrials(ex.startTrial));
+        const auto fired = alerts_.evaluate(
+            &store, &ex.evidence.counters, &ex.evidence.incidents);
         alerts_.exportTo(obs::Registry::global());
         if (!fired.empty()) {
             obs::Registry::global()

@@ -26,11 +26,11 @@
  * Campaign execution is serialized: one what-if runs at a time (the
  * campaign itself already fans out across every core via the shared
  * WorkStealingPool, so concurrent campaigns would only fight over
- * the same cores — and serializing keeps the drain of the
- * trace/sample sinks, which must not race in-flight trials, trivially
- * correct). Cache lookups share that lock, so each request counts
- * exactly one hit or miss; metrics scrapes, alert reads and health
- * probes never wait on a running campaign.
+ * the same cores — and serializing keeps the obs bracket and sink
+ * drains, which must not race in-flight trials, trivially correct).
+ * The lock covers only the checkpoint lookup, the campaign and the
+ * alert evaluation; result-cache lookups run before it, so /v1/whatif
+ * hits, scrapes, alert reads and health probes never wait on one.
  *
  * Three layers sit in front of the campaign (docs/SERVICE.md):
  *
@@ -129,22 +129,16 @@ struct ServiceOptions
      * is set to hourly so Signal rules have data.
      */
     bool evaluateAlerts = true;
-    /** Trials per campaign whose signals feed the alert engine (the
-     *  sink records every trial; this caps memory, like the sweep's
-     *  sampled-trial filter). */
-    std::uint64_t alertSampleTrials = 4;
-    /** Coalesce identical in-flight what-ifs into one execution. */
-    bool coalesce = true;
     /** Spill results and checkpoints here; empty = memory only. */
     std::string cacheDir;
     /** Checkpoints whose serialized form exceeds this are not stored
      *  (the campaign still runs; only reuse is forfeited). */
     std::size_t checkpointMaxBytes = 1u << 20;
     /**
-     * Test hook: invoked by a coalescing leader after it has claimed
-     * the flight and before it executes. Lets the concurrency test
-     * hold the leader until every follower is parked. Never set in
-     * production.
+     * Test hook: invoked by a flight leader whose key missed both
+     * result tiers, with the campaign lock held, before the
+     * checkpoint lookup. Lets the concurrency tests hold a campaign
+     * while followers park and hits pass. Never set in production.
      */
     std::function<void()> testBeforeCampaign;
     /** Request-level observability (ids, spans, access log, status). */
@@ -238,7 +232,7 @@ class CampaignService
     HttpResponse handleWhatIf(const HttpRequest &req,
                               RequestTrack &track);
     /** Cache lookup + (possibly resumed) campaign for a valid,
-     *  already-parsed request; the coalescing leader's work. */
+     *  already-parsed request; the flight leader's work. */
     HttpResponse computeWhatIf(const WhatIfRequest &request,
                                const std::string &key,
                                const char *keyhex,
@@ -268,7 +262,7 @@ class CampaignService
     ResultCache ckptCache_;
     DiskStore disk_;
     AlertEngine alerts_;
-    /** Serializes campaign execution + sink drains. */
+    /** Serializes campaigns, from checkpoint lookup to alerts. */
     std::mutex campaign_m_;
     /** Guards inflight_; inflight_cv_ wakes parked followers. */
     std::mutex inflight_m_;

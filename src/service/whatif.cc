@@ -353,10 +353,11 @@ executeWhatIf(const WhatIfRequest &req, const CampaignCheckpoint *from)
     WhatIfExecution out;
     out.resumed = compatible;
     out.startTrial = compatible ? from->trials : 0;
-    const ResumableOutcome run = runResumableCampaign(
+    ResumableOutcome run = runResumableCampaign(
         req.spec, req.opts, compatible ? from : nullptr);
     out.executedTrials = run.executedTrials;
-    out.checkpoint = run.checkpoint;
+    out.checkpoint = std::move(run.checkpoint);
+    out.evidence = std::move(run.evidence);
     std::ostringstream os;
     CampaignJsonOptions jopts;
     jopts.includeTiming = false;

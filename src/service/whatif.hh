@@ -115,6 +115,8 @@ struct WhatIfExecution
      *  count when resuming, else 0). Alert evaluation uses it to keep
      *  warm-up sample filtering relative to this call's work. */
     std::uint64_t startTrial = 0;
+    /** This call's obs evidence (ResumableOutcome::evidence). */
+    ObsEvidence evidence;
 };
 
 /**

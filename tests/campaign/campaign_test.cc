@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the campaign runner: strict in-order consumption,
- * deterministic early stop, and bit-identical aggregates across thread
- * counts (the acceptance gate for the parallel engine). The parallel
- * speedup check lives in campaign_speedup_test.cc, which runs alone.
+ * deterministic early stop, progress cadence, and bit-identical
+ * aggregates across thread counts (the acceptance gate for the
+ * parallel engine). The parallel speedup check lives in
+ * campaign_speedup_test.cc, which runs alone.
  */
 
 #include <gtest/gtest.h>
@@ -55,25 +56,6 @@ TEST(CampaignRunner, EarlyStopIsDeterministicAcrossThreadCounts)
         for (std::uint64_t i = 0; i < seen.size(); ++i)
             ASSERT_EQ(seen[i], i);
     }
-}
-
-TEST(CampaignRunner, ProgressCallbacksAreInOrderAndSerialized)
-{
-    CampaignOptions opts;
-    opts.threads = 4;
-    opts.progressEvery = 10;
-    std::vector<std::uint64_t> ticks;
-    opts.progress = [&](const CampaignProgress &p) {
-        EXPECT_EQ(p.total, 95u);
-        ticks.push_back(p.consumed);
-    };
-    runCampaign<int>(
-        95, [](std::uint64_t) { return 0; },
-        [](std::uint64_t, int &&) { return true; }, opts);
-    // Every multiple of 10, plus the final 95.
-    const std::vector<std::uint64_t> expect{10, 20, 30, 40, 50,
-                                            60, 70, 80, 90, 95};
-    EXPECT_EQ(ticks, expect);
 }
 
 TEST(ParallelMap, PreservesOrder)
@@ -152,6 +134,48 @@ TEST(AnnualCampaign, EarlyStopRespectsMinTrialsAndTolerance)
     full.threads = 1;
     const auto prefix = runAnnualCampaign(testSpec(), full);
     EXPECT_EQ(fingerprint(s), fingerprint(prefix));
+}
+
+TEST(AnnualCampaign, ProgressTicksAtCadenceAndOnStop)
+{
+    for (std::uint64_t batch : {0, 8}) {
+        AnnualCampaignOptions opts;
+        opts.maxTrials = 95;
+        opts.seed = 11;
+        opts.threads = 4;
+        opts.batch = batch;
+        opts.progressEvery = 10;
+        // Callbacks are serialized, so a plain vector is safe (and the
+        // TSan build would flag a concurrent push).
+        std::vector<CampaignProgress> ticks;
+        opts.progress = [&](const CampaignProgress &p) {
+            ticks.push_back(p);
+        };
+        const auto consumed = [&ticks] {
+            std::vector<std::uint64_t> v;
+            for (const CampaignProgress &p : ticks) {
+                EXPECT_EQ(p.total, 95u);
+                EXPECT_EQ(p.stopped,
+                          &p == &ticks.back() && p.consumed == 25);
+                v.push_back(p.consumed);
+            }
+            ticks.clear();
+            return v;
+        };
+
+        // Every multiple of 10, plus the final 95.
+        runAnnualCampaign(testSpec(), opts);
+        EXPECT_EQ(consumed(), (std::vector<std::uint64_t>{
+                                  10, 20, 30, 40, 50, 60, 70, 80, 90, 95}))
+            << "batch=" << batch;
+
+        // An early stop ticks once more, at the stop point, stopped.
+        opts.minTrials = 25;
+        opts.ciRelTol = 1e9;
+        EXPECT_EQ(runAnnualCampaign(testSpec(), opts).trials, 25u);
+        EXPECT_EQ(consumed(), (std::vector<std::uint64_t>{10, 20, 25}))
+            << "batch=" << batch;
+    }
 }
 
 TEST(AnnualCampaign, CustomTrialBodies)

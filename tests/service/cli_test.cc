@@ -213,7 +213,6 @@ TEST(CliContract, ServerHelpDocumentsPersistenceFlags)
                             " --help");
     EXPECT_EQ(r.exitCode, 0) << r.output;
     EXPECT_NE(r.output.find("--cache-dir DIR"), std::string::npos);
-    EXPECT_NE(r.output.find("--coalesce on|off"), std::string::npos);
     EXPECT_NE(r.output.find("--ckpt-max-bytes N"), std::string::npos);
 }
 
@@ -222,8 +221,7 @@ TEST(CliContract, ServerPersistenceFlagsParseBeforeHelp)
     // --help after valid values proves the flags parsed without
     // actually starting a listener.
     for (const char *flags :
-         {" --coalesce on", " --coalesce off",
-          " --cache-dir /tmp/bpsim-cli-test-unused",
+         {" --cache-dir /tmp/bpsim-cli-test-unused",
           " --ckpt-max-bytes 1024"}) {
         const RunResult r = run(std::string(BPSIM_CAMPAIGN_SERVER_BIN) +
                                 flags + " --help");
@@ -234,16 +232,53 @@ TEST(CliContract, ServerPersistenceFlagsParseBeforeHelp)
     }
 }
 
-TEST(CliContract, ServerCoalesceRejectsAnythingButOnOrOff)
+TEST(CliContract, ServerCoalesceIsAnUnknownArgument)
 {
-    for (const char *bad : {"sometimes", "ON", "1", "true", ""}) {
+    // Single-flight coalescing is the only what-if path; the switch
+    // that turned it off is gone.
+    const RunResult r = run(std::string(BPSIM_CAMPAIGN_SERVER_BIN) +
+                            " --coalesce on");
+    EXPECT_EQ(r.exitCode, 2) << r.output;
+    EXPECT_NE(r.output.find("unknown argument \"--coalesce\""),
+              std::string::npos)
+        << r.output;
+    const RunResult help = run(std::string(BPSIM_CAMPAIGN_SERVER_BIN) +
+                               " --help");
+    EXPECT_EQ(help.output.find("--coalesce"), std::string::npos);
+}
+
+TEST(CliContract, ServerNumericFlagsParseBeforeHelp)
+{
+    for (const char *flags :
+         {" --port 0", " --port 65535", " --cache-entries 1",
+          " --max-trials 10", " --ckpt-max-bytes 0",
+          " --sample-seconds 0", " --sample-seconds 60.5"}) {
         const RunResult r = run(std::string(BPSIM_CAMPAIGN_SERVER_BIN) +
-                                " --coalesce \"" + bad + "\"");
-        EXPECT_EQ(r.exitCode, 2) << "--coalesce " << bad << ": "
-                                 << r.output;
+                                flags + " --help");
+        EXPECT_EQ(r.exitCode, 0) << flags << ": " << r.output;
+    }
+}
+
+TEST(CliContract, ServerNumericFlagsRejectBadValues)
+{
+    const std::vector<std::pair<const char *, const char *>> cases = {
+        {"--port", "abc"},           {"--port", "65536"},
+        {"--port", "-1"},            {"--cache-entries", "abc"},
+        {"--cache-entries", "0"},    {"--max-trials", "0"},
+        {"--max-trials", "1e3"},     {"--ckpt-max-bytes", "-1"},
+        {"--ckpt-max-bytes", "12k"}, {"--sample-seconds", "-5"},
+        {"--sample-seconds", "x"},   {"--slow-ms", "1.5"},
+    };
+    for (const auto &[flag, bad] : cases) {
+        const RunResult r = run(std::string(BPSIM_CAMPAIGN_SERVER_BIN) +
+                                " " + flag + " \"" + bad + "\"");
+        EXPECT_EQ(r.exitCode, 2) << flag << " " << bad << ": " << r.output;
+        EXPECT_NE(r.output.find(std::string(flag) + " needs "),
+                  std::string::npos)
+            << flag << " " << bad << ": " << r.output;
         EXPECT_NE(r.output.find("usage: campaign_server"),
                   std::string::npos)
-            << "--coalesce " << bad;
+            << flag << " " << bad;
     }
 }
 

@@ -5,13 +5,16 @@
  * the leader's flight and answered with the same bytes. The
  * testBeforeCampaign hook holds the leader until every follower has
  * registered, so the assertions are deterministic rather than
- * racy-best-effort; the whole file runs under the service TSan job.
+ * racy-best-effort. The same hook parks a miss inside the campaign
+ * section to prove a cache hit never waits on it. The whole file runs
+ * under the service TSan job.
  */
 
 #include "service/service.hh"
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -154,38 +157,47 @@ TEST(CoalesceTest, DistinctRequestsNeverCoalesce)
     EXPECT_NE(*header(a, "X-Bpsim-Key"), *header(b, "X-Bpsim-Key"));
 }
 
-TEST(CoalesceTest, CoalesceOffStillServesConcurrentRequestsFromCache)
+TEST(CoalesceTest, HitIsServedWhileAMissHoldsTheCampaignLock)
 {
-    constexpr int kThreads = 4;
     ServiceOptions opts;
     opts.evaluateAlerts = false;
-    opts.coalesce = false;
+    std::atomic<bool> armed{false};
+    std::atomic<bool> parked{false};
+    std::atomic<bool> release{false};
+    // Fires inside the campaign section: the parked leader holds the
+    // campaign lock until released.
+    opts.testBeforeCampaign = [&] {
+        if (!armed.exchange(false))
+            return;
+        parked.store(true);
+        while (!release.load())
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
     CampaignService service(opts);
+    const HttpResponse warm = service.handle(post(kBody));
+    ASSERT_EQ(warm.status, 200) << warm.body;
 
-    const auto before = obs::Registry::global().counterSnapshot();
-    std::vector<HttpResponse> responses(kThreads);
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int i = 0; i < kThreads; ++i)
-        threads.emplace_back([&service, &responses, i] {
-            responses[static_cast<std::size_t>(i)] =
-                service.handle(post(kBody));
-        });
-    for (auto &t : threads)
-        t.join();
-    const auto after = obs::Registry::global().counterSnapshot();
+    const char *const other =
+        "{\"config\":\"NoUPS\",\"servers\":4,\"trials\":8,\"seed\":9,"
+        "\"technique\":{\"kind\":\"throttle_sleep\",\"pstate\":5,"
+        "\"serve_for_min\":10.0,\"low_power\":true}}";
+    armed.store(true);
+    std::thread leader([&service, other] {
+        EXPECT_EQ(service.handle(post(other)).status, 200);
+    });
+    while (!parked.load())
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
-    // Without coalescing the campaign mutex still serializes the
-    // requests, so exactly one simulates and the rest hit the cache —
-    // but nothing was coalesced.
-    EXPECT_EQ(counterDelta(before, after, "service.whatif.campaigns"),
-              1u);
-    EXPECT_EQ(counterDelta(before, after, "service.coalesced"), 0u);
-    EXPECT_EQ(service.cache().stats().misses, 1u);
-    EXPECT_EQ(service.cache().stats().hits,
-              static_cast<std::uint64_t>(kThreads - 1));
-    for (const auto &resp : responses) {
-        ASSERT_EQ(resp.status, 200) << resp.body;
-        EXPECT_EQ(resp.body, responses[0].body);
-    }
+    auto hit = std::async(std::launch::async,
+                          [&service] { return service.handle(post(kBody)); });
+    const bool served = hit.wait_for(std::chrono::seconds(30)) ==
+                        std::future_status::ready;
+    release.store(true);
+    leader.join();
+
+    ASSERT_TRUE(served) << "a cache hit waited on the campaign lock";
+    const HttpResponse resp = hit.get();
+    ASSERT_NE(header(resp, "X-Bpsim-Cache"), nullptr);
+    EXPECT_EQ(*header(resp, "X-Bpsim-Cache"), "hit");
+    EXPECT_EQ(resp.body, warm.body);
 }

@@ -12,8 +12,10 @@
 
 #include "service/service.hh"
 
+#include <atomic>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -312,4 +314,45 @@ TEST(IncrementalTest, OversizeCheckpointsAreNotStored)
     const HttpResponse second = service.handle(post(kBigger));
     ASSERT_EQ(second.status, 200);
     EXPECT_EQ(header(second, "X-Bpsim-Resumed-From"), nullptr);
+}
+
+TEST(IncrementalTest, StoredCheckpointHoldsOnlyItsOwnCampaignsMetrics)
+{
+    // Requests served while a campaign runs record their service.*
+    // metrics into the same registry; none may land in the campaign's
+    // stored checkpoint.
+    const bool was = obs::enabled();
+    obs::setEnabled(true);
+    const char *const kBody =
+        "{\"config\":\"NoUPS\",\"servers\":4,\"trials\":60,\"seed\":13,"
+        "\"technique\":{\"kind\":\"throttle\",\"pstate\":5}}";
+    std::string err;
+    const auto request = parseWhatIfRequest(*parseJson(kBody, &err), &err);
+    ASSERT_TRUE(request.has_value()) << err;
+    const std::string ckpt_key = "ckpt|" + canonicalBaseKey(*request);
+
+    const auto storedCheckpoint = [&](bool probed) {
+        ServiceOptions opts;
+        opts.evaluateAlerts = false;
+        CampaignService service(opts);
+        std::atomic<bool> done{false};
+        std::thread prober([&service, &done, probed] {
+            HttpRequest healthz;
+            healthz.method = "GET";
+            healthz.target = "/healthz";
+            while (probed && !done.load())
+                service.handle(healthz);
+        });
+        EXPECT_EQ(service.handle(post(kBody)).status, 200);
+        done.store(true);
+        prober.join();
+        return service.checkpointCache().get(ckpt_key).value_or("");
+    };
+    const std::string quiet = storedCheckpoint(false);
+    const std::string probed = storedCheckpoint(true);
+    obs::setEnabled(was);
+    obs::TraceSink::instance().clear();
+
+    ASSERT_FALSE(quiet.empty());
+    EXPECT_EQ(probed, quiet);
 }

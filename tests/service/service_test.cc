@@ -188,9 +188,7 @@ TEST(CampaignServiceTest, HealthAlertsAndMetricsEndpoints)
 
 TEST(CampaignServiceTest, LoopbackSessionWithShutdown)
 {
-    ServiceOptions opts;
-    opts.alertSampleTrials = 2;
-    CampaignService service(opts);
+    CampaignService service;
     std::string err;
     ASSERT_TRUE(service.start(&err)) << err;
     ASSERT_NE(service.port(), 0);
